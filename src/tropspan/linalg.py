@@ -340,20 +340,27 @@ def trace_closure(matrix: TropMatrix) -> Scalar:
 
 
 def kleene_star(matrix: TropMatrix) -> TropMatrix:
-    """A* = I (+) A (+) ... (+) A^(n-1); requires Tr(A) <= one."""
+    """A* = I (+) A (+) ... (+) A^(n-1); requires Tr(A) <= one.
+
+    Tr(A) is the trace of A A* = A (+) ... (+) A^n, so it is read from the
+    diagonal of that product without a second power series.
+    """
     if not matrix.is_square():
         raise NotSquare(f"star of a {matrix.rows}x{matrix.cols} matrix")
     sf = matrix.semifield
-    tr = trace_closure(matrix)
-    if not sf.le(tr, sf.one):
-        raise SpectralConditionViolated(
-            f"Tr = {sf.format_scalar(tr)} exceeds the identity; "
-            "A x <= x has no regular solution")
     acc = TropMatrix.identity(sf, matrix.rows)
     power = acc
     for _ in range(matrix.rows - 1):
         power = power @ matrix
         acc = acc + power
+    tr = ZERO
+    for i, row in enumerate(matrix.entries):
+        for k, a in enumerate(row):
+            tr = sf.add(tr, sf.mul(a, acc.entries[k][i]))
+    if not sf.le(tr, sf.one):
+        raise SpectralConditionViolated(
+            f"Tr = {sf.format_scalar(tr)} exceeds the identity; "
+            "A x <= x has no regular solution")
     return acc
 
 
@@ -381,14 +388,17 @@ def delta(matrix: TropMatrix, b: TropVector) -> Scalar:
     return image.conj() @ b
 
 
-def _collinear(u: TropVector, v: TropVector) -> bool:
-    """True when u = c (x) v for some scalar c (identical zero patterns)."""
-    sf = u.semifield
-    sup = u.support()
-    if sup != v.support():
-        return False
-    ratio = sf.mul(u[sup[0]], sf.inv(v[sup[0]]))
-    return all(u[i] == sf.mul(ratio, v[i]) for i in sup)
+def ray_key(semifield: Semifield, entries: Sequence[Scalar]) -> tuple:
+    """Hashable key shared exactly by the nonzero vectors of one ray.
+
+    The entries scaled so that the first finite one is the semifield one;
+    zero entries stay zero, so the key also carries the support.  Two
+    vectors have equal keys iff one is a scalar multiple of the other.  The
+    zero vector spans no ray and raises InversionOfZero.
+    """
+    first = next((e for e in entries if e is not ZERO), ZERO)
+    mul, scale = semifield.mul, semifield.inv(first)
+    return tuple(mul(e, scale) for e in entries)
 
 
 def residuation_coefficients(matrix: TropMatrix, b: TropVector) -> TropVector:
@@ -439,29 +449,48 @@ def depends_on(matrix: TropMatrix, b: TropVector) -> bool:
 def reduce_to_independent(matrix: TropMatrix) -> tuple[TropMatrix, list[int]]:
     """Drop columns that are tropical combinations of the others.
 
-    Columns are examined left to right: first an exact collinearity pre-pass
-    keeps only the first member of each ray, then each survivor is removed if
-    it depends on the other current survivors (later ones included).  The
-    result spans the same set as the input and is deterministic for a given
-    column order.  Returns the reduced matrix and the kept column indices.
+    Keeps the first column of every extremal ray of the column cone, in input
+    order, which spans the same set as the input.  Repeated rays are dropped
+    by a lookup on ray_key.  A remaining column v is then tested with the
+    extremality criterion of Butkovic, Schneider & Sergeev, "Generators,
+    extremals and bases of max cones", LAA 421 (2007): v is a combination of
+    the columns of other rays exactly when every index i of its support is
+    covered, that is c u_i = v_i for some such column u with
+    supp(u) within supp(v), where c is the greatest scalar with c u <= v (the
+    order-minimum of v_k u_k^-1 over the support of u).  Returns the reduced
+    matrix and the kept column indices.
     """
-    cols = matrix.columns()
-    for j, c in enumerate(cols):
-        if c.is_zero():
-            raise ZeroColumn(f"column {j} is all-zero")
     sf = matrix.semifield
-    kept: list[int] = []
-    for j in range(len(cols)):
-        if any(_collinear(cols[j], cols[i]) for i in kept):
+    mul, inv, le = sf.mul, sf.inv, sf.le
+    cols = list(zip(*matrix.entries))
+    seen = set()
+    rays = []  # (index, support mask, support, entries) of each first ray
+    for j, col in enumerate(cols):
+        sup = tuple(i for i, e in enumerate(col) if e is not ZERO)
+        if not sup:
+            raise ZeroColumn(f"column {j} is all-zero")
+        key = ray_key(sf, col)
+        if key in seen:
             continue
-        kept.append(j)
-    current = list(kept)
-    for j in list(current):
-        others = [i for i in current if i != j]
-        if not others:
-            continue
-        basis = TropMatrix.from_columns(sf, [cols[i] for i in others])
-        if depends_on(basis, cols[j]):
-            current.remove(j)
-    reduced = TropMatrix.from_columns(sf, [cols[i] for i in current])
-    return reduced, current
+        seen.add(key)
+        rays.append((j, sum(1 << i for i in sup), sup, col))
+    kept = []
+    for j, mask_v, _, v in rays:
+        uncovered = mask_v
+        for l, mask_u, sup_u, u in rays:
+            if l == j or mask_u & ~mask_v:
+                continue
+            ratios = [mul(v[i], inv(u[i])) for i in sup_u]
+            least = ratios[0]
+            for r in ratios:
+                if le(r, least):
+                    least = r
+            for r, i in zip(ratios, sup_u):
+                if r == least:
+                    uncovered &= ~(1 << i)
+            if not uncovered:
+                break
+        if uncovered:
+            kept.append(j)
+    reduced = TropMatrix(sf, [[row[j] for j in kept] for row in matrix.entries])
+    return reduced, kept

@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     SpectralConditionViolated,
 )
-from .linalg import TropMatrix, TropVector, kleene_star, trace_closure, _collinear
+from .linalg import TropMatrix, TropVector, kleene_star, ray_key, trace_closure
 from .semifield import Scalar
 from .solvers import solve_upper_bound
 from .spanopt import DEFAULT_ENUMERATION_BUDGET, SpanProblem, complete_solution
@@ -226,17 +226,20 @@ def compact_generators(sol: ScheduleSolution) -> ScheduleSolution:
     y_cols = sol.y_generators.columns()
     reps: list[int] = []
     merged_bound: list[Scalar] = []
+    slots: dict[tuple, int] = {}
     for j, col in enumerate(x_cols):
-        for slot, r in enumerate(reps):
-            if _collinear(col, x_cols[r]):
-                sup = col.support()[0]
-                kappa = sf.mul(col[sup], sf.inv(x_cols[r][sup]))
-                merged_bound[slot] = sf.add(merged_bound[slot],
-                                            sf.mul(kappa, sol.coeff_bound[j]))
-                break
-        else:
+        key = ray_key(sf, col.entries)
+        slot = slots.get(key)
+        if slot is None:
+            slots[key] = len(reps)
             reps.append(j)
             merged_bound.append(sol.coeff_bound[j])
+            continue
+        r = reps[slot]
+        sup = col.support()[0]
+        kappa = sf.mul(col[sup], sf.inv(x_cols[r][sup]))
+        merged_bound[slot] = sf.add(merged_bound[slot],
+                                    sf.mul(kappa, sol.coeff_bound[j]))
     if len(reps) == len(x_cols):
         return replace(sol, compacted=True)
     return replace(

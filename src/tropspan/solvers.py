@@ -104,8 +104,9 @@ def membership(gens: GeneratorSet, x: TropVector) -> bool:
     """Whether x = S v for some v > 0 within the coefficient bound.
 
     Decided through the canonical coefficients of the residuation: they are
-    the greatest solution of S v <= x, so x lies in the span exactly when
-    they reproduce x, and the bound is checked against this canonical v.
+    the greatest solution v of S v <= x, so every admissible coefficient
+    vector lies below v and below the bound, and x lies in the bounded span
+    exactly when S (v meet bound) = x, the meet taken entry-wise.
     """
     if x.is_zero():
         raise ZeroVector("membership of the zero vector is undefined")
@@ -113,10 +114,8 @@ def membership(gens: GeneratorSet, x: TropVector) -> bool:
         raise ShapeMismatch(f"vector dim {x.dim} vs generator rows "
                             f"{gens.generators.rows}")
     v = greatest_coefficients(gens, x)
-    if v.is_zero():
-        return False
-    if gens.generators @ v != x:
-        return False
-    if gens.coeff_upper_bound is not None and not v.le(gens.coeff_upper_bound):
-        return False
-    return True
+    if gens.coeff_upper_bound is not None:
+        le = v.semifield.le
+        v = TropVector(v.semifield, [a if le(a, b) else b for a, b in
+                                     zip(v, gens.coeff_upper_bound)])
+    return gens.generators @ v == x

@@ -13,7 +13,10 @@ The pipeline, for a row-regular A, nonzero p and regular q:
      enumeration with a dominance rule skips selections whose cones are
      contained in ones already produced.
   5. Concatenating all S1 columns and dropping dependent ones yields a single
-     generator matrix S0 whose span is exactly the solution set.
+     generator matrix S0 whose span is exactly the solution set.  A column
+     is dependent unless it is extremal, which the criterion of Butkovic,
+     Schneider & Sergeev (LAA 421, 2007) decides by scalar comparisons with
+     the other columns; S0 keeps the first column of each extremal ray.
 """
 
 from __future__ import annotations

@@ -109,6 +109,18 @@ def test_verify_accepts_solution_document(tmp_path, capsys):
     assert "latest schedule feasible: OK" in out
 
 
+def test_verify_accepts_exhaustive_solution_document(tmp_path, capsys):
+    for problem in (SPAN, SCHEDULE, REDUCED):
+        for flags in (("--exhaustive",), ()):
+            _, out, _ = run(capsys, "solve", "--input", problem, *flags)
+            sol = tmp_path / "sol.json"
+            sol.write_text(out)
+            code, out, _ = run(capsys, "verify", "--input", problem,
+                               "--candidates", str(sol))
+            assert code == 0, (problem, flags, out)
+            assert "recomputation: OK" in out
+
+
 def test_verify_rejects_tampered_solution(tmp_path, capsys):
     _, out, _ = run(capsys, "solve", "--input", SCHEDULE)
     doc = json.loads(out)

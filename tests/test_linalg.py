@@ -1,22 +1,32 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import Z, mat, vec, random_span_problem
 from tropspan import (
     MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
     AllZeroMatrix,
     NotSquare,
     ShapeMismatch,
+    SpanProblem,
     SpectralConditionViolated,
     TropMatrix,
     ZeroColumn,
+    complete_solution,
     delta,
     depends_on,
     kleene_star,
     outer,
     reduce_to_independent,
     trace_closure,
+)
+from tropspan.spanopt import (
+    canonical_column_order,
+    enumerate_selections,
+    selection_generators,
 )
 
 # recurring three-activity precedence matrices with known closures
@@ -227,3 +237,84 @@ def test_reduce_no_kept_column_depends_on_the_rest():
                 continue
             rest = TropMatrix.from_columns(MAX_PLUS, others)
             assert not depends_on(rest, reduced.col(pos))
+
+
+def _reference_reduce(matrix):
+    # the survivor loop the reduction replaced: keep the first column of each
+    # ray, then drop each survivor that depends on all the other survivors
+    sf = matrix.semifield
+    cols = matrix.columns()
+
+    def collinear(u, v):
+        sup = u.support()
+        if sup != v.support():
+            return False
+        ratio = sf.mul(u[sup[0]], sf.inv(v[sup[0]]))
+        return all(u[i] == sf.mul(ratio, v[i]) for i in sup)
+
+    kept = []
+    for j in range(len(cols)):
+        if not any(collinear(cols[j], cols[i]) for i in kept):
+            kept.append(j)
+    current = list(kept)
+    for j in list(current):
+        others = [i for i in current if i != j]
+        if others and depends_on(
+                TropMatrix.from_columns(sf, [cols[i] for i in others]), cols[j]):
+            current.remove(j)
+    return TropMatrix.from_columns(sf, [cols[i] for i in current]), current
+
+
+def _random_scalar(rng, sf):
+    if sf is MAX_TIMES:
+        return Fraction(rng.randint(1, 12), rng.randint(1, 4))
+    return Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+
+
+def _random_pool(rng, sf):
+    m = rng.randint(1, 5)
+    cols = []
+    for _ in range(rng.randint(1, 10)):
+        col = [_random_scalar(rng, sf) if rng.random() > 0.3 else Z
+               for _ in range(m)]
+        if all(e is Z for e in col):
+            col[rng.randrange(m)] = _random_scalar(rng, sf)
+        cols.append(col)
+        if rng.random() < 0.3:
+            # a scaled duplicate of an earlier column
+            c = _random_scalar(rng, sf)
+            cols.append([sf.mul(c, e) for e in rng.choice(cols)])
+        if len(cols) > 1 and rng.random() < 0.3:
+            # a combination of two earlier columns
+            u, v = rng.sample(cols, 2)
+            cu, cv = _random_scalar(rng, sf), _random_scalar(rng, sf)
+            cols.append([sf.add(sf.mul(cu, a), sf.mul(cv, b))
+                         for a, b in zip(u, v)])
+    rng.shuffle(cols)
+    return TropMatrix(sf, [list(row) for row in zip(*cols)])
+
+
+def test_reduce_matches_reference_loop():
+    rng = random.Random(41)
+    for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES):
+        for _ in range(150):
+            pool = _random_pool(rng, sf)
+            assert reduce_to_independent(pool) == _reference_reduce(pool)
+
+
+def test_complete_solution_matches_reference_reduction():
+    rng = random.Random(43)
+    for n in (4, 4, 5, 5, 6, 6):
+        rows = [[rng.randint(-5, 5) if rng.random() < 0.8 else Z
+                 for _ in range(n)] for _ in range(n)]
+        for row in rows:
+            if all(e is Z for e in row):
+                row[rng.randrange(n)] = rng.randint(-5, 5)
+        prob = SpanProblem(mat(rows), vec([rng.randint(-5, 5) for _ in range(n)]),
+                           vec([rng.randint(-5, 5) for _ in range(n)]))
+        pooled = TropMatrix.from_columns(MAX_PLUS, [
+            col for sel in enumerate_selections(prob.sparsified, prob.p)
+            for col in selection_generators(sel, prob).generators.columns()])
+        reference, _ = _reference_reduce(pooled)
+        assert complete_solution(prob).generators.generators \
+            == canonical_column_order(reference)

@@ -179,6 +179,14 @@ def test_membership_respects_bound():
     assert v == vec([1, -5])
 
 
+def test_membership_under_bound_below_greatest_coefficients():
+    # the greatest coefficients (0, 0) exceed the bound, yet v = (0, -5)
+    # stays within it and still gives S v = x
+    gens = GeneratorSet(mat([[0, 0]]), coeff_upper_bound=vec([0, -5]))
+    assert membership(gens, vec([0]))
+    assert not membership(gens, vec([1]))
+
+
 def test_generator_set_validation():
     with pytest.raises(NotRegularVector):
         GeneratorSet(mat([[0], [1]]), coeff_upper_bound=vec([Z]))
