@@ -12,6 +12,7 @@ problems, 3 infeasible instance, 4 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import documents as docs
@@ -22,7 +23,6 @@ from .errors import (
     ParseError,
     TropicalError,
 )
-from .linalg import TropMatrix
 from .plotting import render_span_svg
 from .scheduling import (
     check_schedule,
@@ -63,16 +63,6 @@ def _write(path: str, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-
-
-def _fmt(sf, value) -> str:
-    return sf.format_scalar(value)
-
-
-def _matrix_lines(matrix: TropMatrix) -> list[str]:
-    sf = matrix.semifield
-    return ["[" + ", ".join(sf.format_scalar(e) for e in row) + "]"
-            for row in matrix.entries]
 
 
 # -- solve --------------------------------------------------------------------
@@ -142,8 +132,8 @@ def cmd_solve(args) -> int:
 
 def _verify_span_vectors(doc, vectors) -> tuple[list[str], bool]:
     prob = doc.to_span_problem()
-    sf = prob.semifield
-    lines = [f"delta: {_fmt(sf, prob.delta)}"]
+    fmt = prob.semifield.format_scalar
+    lines = [f"delta: {fmt(prob.delta)}"]
     all_ok = True
     for i, vec in enumerate(vectors, start=1):
         if not vec.is_regular():
@@ -154,22 +144,22 @@ def _verify_span_vectors(doc, vectors) -> tuple[list[str], bool]:
         ok = value == prob.delta
         all_ok &= ok
         lines.append(f"candidate {i}: {'PASS' if ok else 'FAIL'} "
-                     f"objective={_fmt(sf, value)} delta={_fmt(sf, prob.delta)}")
+                     f"objective={fmt(value)} delta={fmt(prob.delta)}")
     return lines, all_ok
 
 
 def _verify_schedule_pairs(doc, pairs) -> tuple[list[str], bool]:
     inst = doc.to_schedule_instance()
     sol = solve_schedule(inst)
-    sf = inst.semifield
-    lines = [f"delta: {_fmt(sf, sol.delta)}"]
+    fmt = inst.semifield.format_scalar
+    lines = [f"delta: {fmt(sol.delta)}"]
     all_ok = True
     for i, (x, y) in enumerate(pairs, start=1):
         report = check_schedule(inst, x, y)
         ok = report.ok and report.span == sol.delta
         all_ok &= ok
         line = (f"schedule {i}: {'PASS' if ok else 'FAIL'} "
-                f"span={_fmt(sf, report.span)} delta={_fmt(sf, sol.delta)}")
+                f"span={fmt(report.span)} delta={fmt(sol.delta)}")
         if not report.ok:
             line += " violations: " + "; ".join(report.failures())
         lines.append(line)
@@ -270,19 +260,17 @@ def cmd_enumerate(args) -> int:
                                         budget=args.budget))
     emitted_keys = {sel.chosen_col for sel in emitted}
 
-    lines = [f"delta: {_fmt(sf, prob.delta)}", "sparsified:"]
-    lines.extend(_matrix_lines(sparse))
-    lines.append(f"selections: {len(emitted)} emitted, "
-                 f"{total - len(emitted)} pruned, {total} total")
+    lines = [f"delta: {sf.format_scalar(prob.delta)}", "sparsified:",
+             repr(sparse),
+             f"selections: {len(emitted)} emitted, "
+             f"{total - len(emitted)} pruned, {total} total"]
 
     def describe(index, sel, status=None):
         cols = [j + 1 for j in sel.chosen_col]
         suffix = f" [{status}]" if status else ""
-        lines.append(f"selection {index}: rows -> columns {cols}{suffix}")
-        lines.append("A1:")
-        lines.extend(_matrix_lines(sel.materialize(sparse)))
-        lines.append("S1:")
-        lines.extend(_matrix_lines(selection_generators(sel, prob).generators))
+        lines.extend([f"selection {index}: rows -> columns {cols}{suffix}",
+                      "A1:", repr(sel.materialize(sparse)),
+                      "S1:", repr(selection_generators(sel, prob).generators)])
 
     if args.exhaustive:
         every = list(enumerate_selections(sparse, prob.p, prune=False,
@@ -364,8 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Options in range, or exit 2; the parser is freed before any command."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.budget < 1:
+        parser.error(f"--budget must be at least 1, got {args.budget}")
+    if args.command == "plot":
+        lo, hi = args.window
+        if not -math.inf < lo < hi < math.inf:
+            parser.error(f"--window needs finite LO < HI, got {lo} {hi}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (InfeasiblePrecedence, InfeasibleDeadline) as exc:

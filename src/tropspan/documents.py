@@ -127,6 +127,8 @@ def _load_json(text: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
 
 
 def parse_problem(text: str) -> ProblemDocument:

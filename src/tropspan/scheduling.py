@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     SpectralConditionViolated,
 )
-from .linalg import TropMatrix, TropVector, kleene_star, ray_key, trace_closure
+from .linalg import TropMatrix, TropVector, kleene_star, ray_key
 from .semifield import Scalar
 from .solvers import solve_upper_bound
 from .spanopt import DEFAULT_ENUMERATION_BUDGET, SpanProblem, complete_solution
@@ -51,19 +51,18 @@ class ScheduleInstance:
             raise NotRegularMatrix("A must be regular (no zero rows or columns)")
         if not f.is_regular():
             raise NotRegularVector("late finish times f must all be finite")
-        sf = A.semifield
         closed = B + (C @ A)
-        tr = trace_closure(closed)
-        if not sf.le(tr, sf.one):
+        try:
+            self.closure = kleene_star(closed)
+        except SpectralConditionViolated as exc:
             raise InfeasiblePrecedence(
-                "cyclic precedence with positive total lag: "
-                f"Tr(B (+) CA) = {sf.format_scalar(tr)}")
+                f"cyclic precedence with positive total lag: {exc}") from None
         self.n = n
         self.A = A
         self.B = B
         self.C = C
         self.f = f
-        self.semifield = sf
+        self.semifield = A.semifield
         self.precedence = closed
 
 
@@ -96,11 +95,8 @@ class ScheduleSolution:
 
 
 def precedence_closure(inst: ScheduleInstance) -> TropMatrix:
-    """Kleene star of B (+) CA; instance validation guarantees it exists."""
-    try:
-        return kleene_star(inst.precedence)
-    except SpectralConditionViolated as exc:
-        raise InfeasiblePrecedence(str(exc)) from exc
+    """Kleene star of B (+) CA, built once when the instance is validated."""
+    return inst.closure
 
 
 def reduced_span_problem(inst: ScheduleInstance,

@@ -11,7 +11,8 @@ The pipeline, for a row-regular A, nonzero p and regular q:
      S1 = I (+) Delta^-1 A1^- p q^-.
   4. The union over all selections is the full solution set; a backtracking
      enumeration with a dominance rule skips selections whose cones are
-     contained in ones already produced.
+     contained in ones already produced.  Choosing column j in row i forces
+     later rows to column j, so the walk's state is one forced column per row.
   5. Concatenating all S1 columns and dropping dependent ones yields a single
      generator matrix S0 whose span is exactly the solution set.  A column
      is dependent unless it is extremal, which the criterion of Butkovic,
@@ -181,12 +182,14 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
                          ) -> Iterator[SelectionMatrix]:
     """Backtracking enumeration of row selections, top row first.
 
-    After fixing entry (i, j), the dominance rule zeroes every other entry of
-    a later row k whenever a_kj >= a_ij p_i^-1 p_k: the row-k constraint is
-    then implied by the row-i one, so its alternatives cannot enlarge the
-    solution set.  Rows with p_i = zero constrain nothing; they are pinned to
-    their leftmost nonzero entry and never branched or pruned, which keeps the
-    pruned and exhaustive listings comparable row by row.
+    After fixing entry (i, j), the dominance rule forces each later row k
+    with a_kj >= a_ij p_i^-1 p_k to column j: the row-k constraint is then
+    implied by the row-i one, so its alternatives cannot enlarge the solution
+    set.  The walk's state is the forced column of each row plus the rows
+    each depth forced, released when that depth moves on; an explicit stack
+    of candidate iterators drives it.  Rows with p_i = zero constrain
+    nothing; they keep their leftmost nonzero entry and are never branched
+    or forced, which keeps the pruned and exhaustive listings comparable.
     """
     if not sparse.is_row_regular():
         raise NotRegularMatrix("selection enumeration needs a row-regular matrix")
@@ -194,49 +197,46 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
         raise ShapeMismatch(f"p has dim {p.dim}, matrix has {sparse.rows} rows")
     sf = sparse.semifield
     m, n = sparse.shape
-    work = [list(row) for row in sparse.entries]
-    choice = [0] * m
-    emitted = 0
+    rows = sparse.entries
+    forced: list[int | None] = [None] * m
+    forced_by: list[list[int]] = [[] for _ in range(m)]
 
-    def walk(i: int) -> Iterator[SelectionMatrix]:
-        nonlocal emitted
-        if i == m:
+    def candidates(i: int) -> Iterator[int]:
+        cols = [j for j, a in enumerate(rows[i])
+                if a is not ZERO and forced[i] in (None, j)]
+        return iter(cols[:1] if p[i] is ZERO else cols)
+
+    def walk() -> Iterator[SelectionMatrix]:
+        choice = [0] * m
+        stack = [candidates(0)]
+        emitted = 0
+        while stack:
+            i = len(stack) - 1
+            while forced_by[i]:
+                forced[forced_by[i].pop()] = None
+            j = next(stack[i], None)
+            if j is None:
+                stack.pop()
+                continue
+            choice[i] = j
+            if prune and p[i] is not ZERO:
+                scale = sf.mul(rows[i][j], sf.inv(p[i]))
+                for k in range(i + 1, m):
+                    pk, a_kj = p[k], rows[k][j]
+                    if (forced[k] is None and pk is not ZERO and a_kj is not ZERO
+                            and sf.le(sf.mul(scale, pk), a_kj)):
+                        forced[k] = j
+                        forced_by[i].append(k)
+            if i + 1 < m:
+                stack.append(candidates(i + 1))
+                continue
             if budget is not None and emitted >= budget:
                 raise EnumerationBudgetExceeded(
                     f"more than {budget} selections", visited=emitted)
             emitted += 1
             yield SelectionMatrix((m, n), tuple(choice))
-            return
-        candidates = [j for j in range(n) if work[i][j] is not ZERO]
-        pinned = p[i] is ZERO
-        if pinned:
-            candidates = candidates[:1]
-        for j in candidates:
-            choice[i] = j
-            saved = [work[k][:] for k in range(i, m)]
-            for l in range(n):
-                if l != j:
-                    work[i][l] = ZERO
-            if prune and not pinned:
-                a_ij = work[i][j]
-                inv_pi = sf.inv(p[i])
-                for k in range(i + 1, m):
-                    pk = p[k]
-                    if pk is ZERO:
-                        continue
-                    a_kj = work[k][j]
-                    if a_kj is ZERO:
-                        continue
-                    if sf.le(sf.mul(a_ij, sf.mul(inv_pi, pk)), a_kj):
-                        for l in range(n):
-                            if l != j:
-                                work[k][l] = ZERO
-            yield from walk(i + 1)
-            for k in range(i, m):
-                work[k] = saved[k - i]
-        choice[i] = 0
 
-    return walk(0)
+    return walk()
 
 
 def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSet:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 
 from tropspan.cli import main
 
@@ -96,6 +97,37 @@ def test_solve_budget_exceeded(capsys):
     code, _, err = run(capsys, "solve", "--input", SCHEDULE, "--budget", "1")
     assert code == 4
     assert "budget" in err
+
+
+def test_solve_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, "solve", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def refused(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code, capsys.readouterr().err
+
+
+def test_budget_below_one_is_refused(capsys):
+    for budget in ("0", "-1"):
+        code, err = refused(capsys, "solve", "--input", SPAN,
+                            "--budget", budget)
+        assert code == 2
+        assert "--budget must be at least 1" in err
+
+
+def test_plot_window_must_be_finite_and_increasing(tmp_path, capsys):
+    for window in (("5", "-5"), ("3", "3"), ("nan", "1"), ("0", "inf")):
+        code, err = refused(capsys, "plot", "--input", SPAN, "--output",
+                            str(tmp_path / "plot.svg"), "--window", *window)
+        assert code == 2
+        assert "--window needs finite LO < HI" in err
+    assert not (tmp_path / "plot.svg").exists()
 
 
 def test_verify_accepts_solution_document(tmp_path, capsys):

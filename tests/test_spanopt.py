@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 import pytest
 
@@ -14,9 +16,11 @@ from tropspan import (
     MAX_PLUS,
     EnumerationBudgetExceeded,
     GeneratorSet,
+    NotRegularMatrix,
     NotRegularVector,
     SpanProblem,
     TropMatrix,
+    ZERO,
     attains_minimum,
     complete_solution,
     enumerate_selections,
@@ -129,6 +133,104 @@ def test_enumerate_budget():
     with pytest.raises(EnumerationBudgetExceeded) as info:
         complete_solution(prob, budget=1)
     assert len(info.value.partial) == 1
+
+
+def test_enumerate_checks_arguments_at_call_time():
+    # no next(): a generator body would defer the check to the first item
+    with pytest.raises(NotRegularMatrix):
+        enumerate_selections(mat([[1, 2], [Z, Z]]), vec([0, 0]))
+
+
+def _reference_selections(sparse, p, prune, budget):
+    # the recursive walk over a copied work matrix that the forced-column
+    # walk replaced; zeroing a row's other entries is what forcing it means
+    sf = sparse.semifield
+    m, n = sparse.shape
+    work = [list(row) for row in sparse.entries]
+    choice = [0] * m
+    emitted = 0
+
+    def walk(i):
+        nonlocal emitted
+        if i == m:
+            if budget is not None and emitted >= budget:
+                raise EnumerationBudgetExceeded(
+                    f"more than {budget} selections", visited=emitted)
+            emitted += 1
+            yield tuple(choice)
+            return
+        candidates = [j for j in range(n) if work[i][j] is not ZERO]
+        pinned = p[i] is ZERO
+        if pinned:
+            candidates = candidates[:1]
+        for j in candidates:
+            choice[i] = j
+            saved = [work[k][:] for k in range(i, m)]
+            for l in range(n):
+                if l != j:
+                    work[i][l] = ZERO
+            if prune and not pinned:
+                a_ij = work[i][j]
+                inv_pi = sf.inv(p[i])
+                for k in range(i + 1, m):
+                    pk = p[k]
+                    if pk is ZERO:
+                        continue
+                    a_kj = work[k][j]
+                    if a_kj is ZERO:
+                        continue
+                    if sf.le(sf.mul(a_ij, sf.mul(inv_pi, pk)), a_kj):
+                        for l in range(n):
+                            if l != j:
+                                work[k][l] = ZERO
+            yield from walk(i + 1)
+            for k in range(i, m):
+                work[k] = saved[k - i]
+        choice[i] = 0
+
+    return walk(0)
+
+
+def _listing(selections):
+    # every emitted selection, then the visited count of a budget overrun
+    out = []
+    try:
+        for sel in selections:
+            out.append(getattr(sel, "chosen_col", sel))
+    except EnumerationBudgetExceeded as exc:
+        out.append(("visited", exc.visited))
+    return out
+
+
+def test_enumerate_matches_recursive_reference():
+    rng = random.Random(73)
+    overruns = 0
+    for _ in range(400):
+        prob = random_span_problem(rng, max_dim=8)
+        if prob.A.cols > 5:
+            continue
+        for sparse in (prob.sparsified, prob.A):
+            for prune in (True, False):
+                budget = rng.choice((None, 1, 7, 40))
+                expected = _listing(_reference_selections(sparse, prob.p,
+                                                          prune, budget))
+                overruns += isinstance(expected[-1][0], str)
+                assert _listing(enumerate_selections(
+                    sparse, prob.p, prune=prune, budget=budget)) == expected
+    assert overruns > 50
+
+
+def test_enumerate_taller_than_recursion_limit():
+    m = sys.getrecursionlimit() + 200
+    prob = SpanProblem(mat([[0, 0, 0]] * m), vec([0] * m), vec([0, 0, 0]))
+    start = time.perf_counter()
+    selections = list(enumerate_selections(prob.sparsified, prob.p))
+    assert [s.chosen_col for s in selections] == [(j,) * m for j in range(3)]
+    sol = complete_solution(prob)
+    assert time.perf_counter() - start < 2.0
+    assert sol.enumerated_count == 3
+    # every x is optimal: S0 spans the whole space
+    assert sol.generators.generators == TropMatrix.identity(MAX_PLUS, 3)
 
 
 def test_selection_generators_golden():
