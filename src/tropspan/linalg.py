@@ -42,7 +42,7 @@ class TropVector:
 
     def __init__(self, semifield: Semifield, entries: Iterable[Scalar]):
         self.semifield = semifield
-        self.entries = tuple(semifield.check_value(e) for e in entries)
+        self.entries = tuple([semifield.check_value(e) for e in entries])
         if not self.entries:
             raise ShapeMismatch("vectors must have at least one component")
 
@@ -151,8 +151,8 @@ class TropMatrix:
 
     def __init__(self, semifield: Semifield, rows: Iterable[Iterable[Scalar]]):
         self.semifield = semifield
-        self.entries = tuple(tuple(semifield.check_value(e) for e in row)
-                             for row in rows)
+        self.entries = tuple([tuple([semifield.check_value(e) for e in row])
+                             for row in rows])
         if not self.entries or not self.entries[0]:
             raise ShapeMismatch("matrices must have at least one row and column")
         self.rows = len(self.entries)
@@ -398,7 +398,7 @@ def ray_key(semifield: Semifield, entries: Sequence[Scalar]) -> tuple:
     """
     first = next((e for e in entries if e is not ZERO), ZERO)
     mul, scale = semifield.mul, semifield.inv(first)
-    return tuple(mul(e, scale) for e in entries)
+    return tuple([mul(e, scale) for e in entries])
 
 
 def residuation_coefficients(matrix: TropMatrix, b: TropVector) -> TropVector:

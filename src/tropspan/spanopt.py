@@ -23,6 +23,8 @@ The pipeline, for a row-regular A, nonzero p and regular q:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Iterator
 
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .linalg import TropMatrix, TropVector, reduce_to_independent
+from .linalg import TropMatrix, TropVector, ray_key, reduce_to_independent
 from .semifield import ZERO, Scalar
 from .solvers import GeneratorSet, IntervalSet, interval_to_generators
 
@@ -55,27 +57,16 @@ class SpanProblem:
             raise ZeroVector("p must be nonzero")
         if not q.is_regular():
             raise NotRegularVector("q must be regular")
-        self.A = A
-        self.p = p
-        self.q = q
+        self.A, self.p, self.q = A, p, q
         self.semifield = A.semifield
-        self._delta: Scalar | None = None
-        self._sparse: TropMatrix | None = None
 
-    @property
+    @cached_property
     def delta(self) -> Scalar:
         """Minimum value (A q)^- p; always nonzero."""
-        if self._delta is None:
-            self._delta = (self.A @ self.q).conj() @ self.p
-        return self._delta
+        return (self.A @ self.q).conj() @ self.p
 
-    @property
+    @cached_property
     def sparsified(self) -> TropMatrix:
-        if self._sparse is None:
-            self._sparse = self._sparsify()
-        return self._sparse
-
-    def _sparsify(self) -> TropMatrix:
         sf = self.semifield
         inv_delta = sf.inv(self.delta)
         inv_q = [sf.inv(v) for v in self.q]
@@ -240,10 +231,18 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
 
 
 def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSet:
-    """Span I (+) Delta^-1 A1^- p q^- contributed by one selection."""
-    sf = prob.semifield
-    a1 = sel.materialize(prob.sparsified)
-    lower = (a1.conj() @ prob.p).scale(sf.inv(prob.delta))
+    """Span I (+) Delta^-1 A1^- p q^- contributed by one selection.
+
+    Entry j of A1^- p sums a_ij^-1 p_i over the rows i that chose column j,
+    so A1 itself is never built.
+    """
+    if sel.base_shape != prob.A.shape:
+        raise ShapeMismatch(f"selection for shape {sel.base_shape}")
+    sf, rows = prob.semifield, prob.sparsified.entries
+    lower = [ZERO] * prob.A.cols
+    for i, (j, pi) in enumerate(zip(sel.chosen_col, prob.p)):
+        lower[j] = sf.add(lower[j], sf.mul(sf.inv(rows[i][j]), pi))
+    lower = TropVector(sf, lower).scale(sf.inv(prob.delta))
     return interval_to_generators(IntervalSet(lower=lower, upper=prob.q))
 
 
@@ -275,26 +274,23 @@ def complete_solution(prob: SpanProblem, *,
 
     The pooled columns are reduced left to right in enumeration order and the
     surviving basis is put into canonical column order, so repeated runs with
-    the same flags print the identical matrix.
+    the same flags print the identical matrix.  Selections are pooled as the
+    walk emits them, skipping columns of rays already pooled, so memory
+    follows the distinct rays; a budget overrun re-walks for exc.partial.
     """
-    sparse = prob.sparsified
-    selections = []
+    sf, sparse = prob.semifield, prob.sparsified
+    rays = {}
+    count = 0
     try:
-        for sel in enumerate_selections(sparse, prob.p, prune=prune, budget=budget):
-            selections.append(sel)
+        for count, sel in enumerate(enumerate_selections(
+                sparse, prob.p, prune=prune, budget=budget), 1):
+            for col in selection_generators(sel, prob).generators.columns():
+                rays.setdefault(ray_key(sf, col.entries), col)
     except EnumerationBudgetExceeded as exc:
-        exc.partial = selections
+        exc.partial = list(islice(enumerate_selections(
+            sparse, prob.p, prune=prune, budget=None), exc.visited))
         raise
-    columns = []
-    for sel in selections:
-        columns.extend(selection_generators(sel, prob).generators.columns())
-    pooled = TropMatrix.from_columns(prob.semifield, columns)
-    reduced, _ = reduce_to_independent(pooled)
-    ordered = canonical_column_order(reduced)
-    total = selection_count(sparse, prob.p)
-    return CompleteSolution(
-        delta=prob.delta,
-        generators=GeneratorSet(ordered),
-        enumerated_count=len(selections),
-        pruned_count=total - len(selections),
-    )
+    pooled = TropMatrix.from_columns(sf, list(rays.values()))
+    ordered = canonical_column_order(reduce_to_independent(pooled)[0])
+    pruned = selection_count(sparse, prob.p) - count
+    return CompleteSolution(prob.delta, GeneratorSet(ordered), count, pruned)

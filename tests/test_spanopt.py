@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from itertools import islice
 
 import pytest
 
@@ -16,6 +17,7 @@ from tropspan import (
     MAX_PLUS,
     EnumerationBudgetExceeded,
     GeneratorSet,
+    IntervalSet,
     NotRegularMatrix,
     NotRegularVector,
     SpanProblem,
@@ -26,6 +28,7 @@ from tropspan import (
     enumerate_selections,
     extended_interval,
     extended_solution,
+    interval_to_generators,
     membership,
     minimum_value,
     objective,
@@ -240,6 +243,33 @@ def test_selection_generators_golden():
     s2 = selection_generators(every[1], prob).generators
     assert s1 == mat([[0, -1], [Z, 0]])
     assert s2 == mat([[0, -1], [-2, 0]])
+
+
+def test_selection_generators_match_materialized_selection():
+    rng = random.Random(79)
+    for _ in range(200):
+        prob = random_span_problem(rng, max_dim=6)
+        inv_delta = MAX_PLUS.inv(prob.delta)
+        for sel in islice(enumerate_selections(prob.sparsified, prob.p,
+                                               prune=False), 30):
+            a1 = sel.materialize(prob.sparsified)
+            lower = (a1.conj() @ prob.p).scale(inv_delta)
+            assert selection_generators(sel, prob) == interval_to_generators(
+                IntervalSet(lower=lower, upper=prob.q))
+
+
+def test_budget_overrun_lists_the_emitted_selections():
+    rng = random.Random(83)
+    for _ in range(100):
+        prob = random_span_problem(rng, max_dim=6)
+        walk = [s.chosen_col for s in enumerate_selections(
+            prob.sparsified, prob.p, budget=None)]
+        if len(walk) < 3:
+            continue
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            complete_solution(prob, budget=len(walk) - 1)
+        assert info.value.visited == len(walk) - 1
+        assert [s.chosen_col for s in info.value.partial] == walk[:-1]
 
 
 def test_complete_solution_golden():
