@@ -375,11 +375,11 @@ def main(argv=None) -> int:
     except EnumerationBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except TropicalError as exc:
+    except (TropicalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # RecursionError, MemoryError, any other fault
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -2,7 +2,8 @@
 
 Scalars are written as JSON integers, "p/q" strings for non-integral
 rationals, and the token "-inf" for the max-plus zero.  Decimal literals in
-input are read exactly (0.5 becomes the rational 1/2).  Serialization is
+input are read exactly (0.5 becomes the rational 1/2), unless they could
+need more than MAX_LITERAL_DIGITS digits.  Serialization is
 canonical (sorted keys, fixed indentation), so identical inputs always yield
 byte-identical outputs.
 
@@ -32,6 +33,11 @@ KIND_SCHEDULE_SOLUTION = "schedule-solution"
 _SPAN_FIELDS = {"A": "matrix", "p": "vector", "q": "vector"}
 _SCHEDULE_FIELDS = {"A": "matrix", "B": "matrix", "C": "matrix", "f": "vector"}
 
+# Below the 4300 digits that int <-> str conversion accepts by default, with
+# room for the sums of entries a solution holds.
+MAX_LITERAL_DIGITS = 4000
+_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
+
 
 def input_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -39,18 +45,38 @@ def input_digest(text: str) -> str:
 
 # -- scalar <-> JSON ----------------------------------------------------------
 
+def _decimal(text: str) -> Fraction:
+    """Fraction(text), refused first when it could need more than
+    MAX_LITERAL_DIGITS digits: the length of the literal plus its decimal
+    exponent bound the digits of its numerator and denominator."""
+    size = len(text)
+    _, e, exponent = text.lower().partition("e")
+    if e and size <= MAX_LITERAL_DIGITS:
+        size += abs(int(exponent))
+    if size > MAX_LITERAL_DIGITS:
+        shown = text if len(text) <= 12 else text[:12] + "..."
+        raise ParseError(f"numeric literal {shown} needs more than "
+                         f"{MAX_LITERAL_DIGITS} digits")
+    return Fraction(text)
+
+
 def scalar_from_json(value, where: str, semifield: Semifield) -> Scalar:
     if isinstance(value, bool):
         raise ParseError(f"{where}: booleans are not scalars")
     if isinstance(value, int):
-        return value
+        if abs(value) < _LITERAL_BOUND:
+            return value
+        raise ParseError(f"{where}: integer needs more than "
+                         f"{MAX_LITERAL_DIGITS} digits")
     if isinstance(value, Fraction):
         return _norm(value)
     if isinstance(value, str):
         if value == semifield.zero_token:
             return ZERO
         try:
-            return _norm(Fraction(value))
+            return _norm(_decimal(value))
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise ParseError(
                 f"{where}: {value!r} is not an integer, a p/q rational, "
@@ -123,12 +149,15 @@ class ProblemDocument:
 
 def _load_json(text: str):
     try:
-        return json.loads(text, parse_float=Fraction, parse_int=int)
+        return json.loads(text, parse_float=_decimal, parse_int=int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:  # an integer past the int <-> str conversion limit
+        raise ParseError(f"numeric literal needs more than "
+                         f"{MAX_LITERAL_DIGITS} digits") from None
 
 
 def parse_problem(text: str) -> ProblemDocument:

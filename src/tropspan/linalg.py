@@ -250,19 +250,14 @@ class TropMatrix:
             sf = self.semifield
             add, mul = sf.add, sf.mul
             out = []
-            for i in range(self.rows):
-                row_i = self.entries[i]
-                out_row = []
-                for j in range(other.cols):
-                    acc = ZERO
-                    for k, a in enumerate(row_i):
-                        if a is ZERO:
-                            continue
-                        b = other.entries[k][j]
-                        if b is ZERO:
-                            continue
-                        acc = add(acc, mul(a, b))
-                    out_row.append(acc)
+            for row_i in self.entries:
+                out_row = [ZERO] * other.cols
+                for a, row_k in zip(row_i, other.entries):
+                    if a is ZERO:
+                        continue
+                    for j, b in enumerate(row_k):
+                        if b is not ZERO:
+                            out_row[j] = add(out_row[j], mul(a, b))
                 out.append(out_row)
             return TropMatrix(sf, out)
         if isinstance(other, TropVector):
@@ -342,26 +337,36 @@ def trace_closure(matrix: TropMatrix) -> Scalar:
 def kleene_star(matrix: TropMatrix) -> TropMatrix:
     """A* = I (+) A (+) ... (+) A^(n-1); requires Tr(A) <= one.
 
-    Tr(A) is the trace of A A* = A (+) ... (+) A^n, so it is read from the
-    diagonal of that product without a second power series.
+    Built by Kleene's elimination (Floyd-Warshall over the semifield) in
+    O(n^3) instead of the power series: after pivots 0..k-1, c_ij is the
+    heaviest walk i -> j with intermediate vertices below k, so c_kk is the
+    heaviest cycle through k over vertices 0..k.  A cycle above one exists iff
+    Tr(A) > one, and then some pivot sees one, so each pivot is checked
+    before it is eliminated; that also keeps every entry a simple-path
+    weight.  With no such cycle the heaviest walk is the heaviest path of at
+    most n - 1 edges, which is exactly the power series.
     """
     if not matrix.is_square():
         raise NotSquare(f"star of a {matrix.rows}x{matrix.cols} matrix")
     sf = matrix.semifield
-    acc = TropMatrix.identity(sf, matrix.rows)
-    power = acc
-    for _ in range(matrix.rows - 1):
-        power = power @ matrix
-        acc = acc + power
-    tr = ZERO
-    for i, row in enumerate(matrix.entries):
-        for k, a in enumerate(row):
-            tr = sf.add(tr, sf.mul(a, acc.entries[k][i]))
-    if not sf.le(tr, sf.one):
-        raise SpectralConditionViolated(
-            f"Tr = {sf.format_scalar(tr)} exceeds the identity; "
-            "A x <= x has no regular solution")
-    return acc
+    add, mul, one = sf.add, sf.mul, sf.one
+    c = [list(row) for row in matrix.entries]
+    for k, row_k in enumerate(c):
+        if not sf.le(row_k[k], one):
+            tr = trace_closure(matrix)
+            raise SpectralConditionViolated(
+                f"Tr = {sf.format_scalar(tr)} exceeds the identity; "
+                "A x <= x has no regular solution")
+        for i, row_i in enumerate(c):
+            a = row_i[k]
+            if i == k or a is ZERO:
+                continue
+            for j, b in enumerate(row_k):
+                if b is not ZERO:
+                    row_i[j] = add(row_i[j], mul(a, b))
+    for i, row in enumerate(c):
+        row[i] = add(one, row[i])
+    return TropMatrix(sf, c)
 
 
 def delta(matrix: TropMatrix, b: TropVector) -> Scalar:

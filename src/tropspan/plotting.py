@@ -11,8 +11,6 @@ mirroring the usual hand-drawn figures.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import UnsupportedDimension
 from .semifield import ZERO
 from .solvers import interval_to_generators
@@ -23,12 +21,6 @@ from .spanopt import (
 )
 
 _INF = float("inf")
-
-
-def _as_float(value) -> float:
-    if value is ZERO:
-        return -_INF
-    return float(value) if isinstance(value, Fraction) else float(value)
 
 
 def _offsets(columns) -> tuple[float, float]:

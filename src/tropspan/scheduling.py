@@ -12,7 +12,9 @@ absent lag being the semifield zero):
 The objective is the span seminorm max(y) - min(y), the largest deviation
 between finish times.  Substituting y = A x turns the precedence constraints
 into (B (+) C A) x <= x, solvable by the Kleene star when the closed trace is
-at most the identity; with D = A (B (+) C A)* the remaining problem is a span
+at most the identity.  ScheduleInstance builds that star once, by Kleene's
+elimination in O(n^3), which refuses as soon as a pivot closes a cycle of
+positive total lag; with D = A (B (+) C A)* the remaining problem is a span
 problem over D whose complete solution S0, cut back by the deadline bound
 v <= (f^- D S0)^-, parametrizes every optimal schedule.
 """

@@ -85,9 +85,6 @@ class Semifield:
     def is_zero(self, a: Scalar) -> bool:
         return a is ZERO
 
-    def is_one(self, a: Scalar) -> bool:
-        return a == self.one
-
     def check_value(self, a: Scalar) -> Scalar:
         """Validate that a is ZERO or a finite value in this instance's domain."""
         if a is ZERO:
@@ -107,9 +104,6 @@ class Semifield:
         if b is ZERO:
             return False
         return a >= b if self._reversed else a <= b
-
-    def lt(self, a: Scalar, b: Scalar) -> bool:
-        return a != b and self.le(a, b)
 
     # -- arithmetic ----------------------------------------------------------
 

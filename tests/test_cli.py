@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from tropspan import cli
 from tropspan.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -105,6 +106,29 @@ def test_solve_deeply_nested_json(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--input", str(path))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "literal", ["9" * 5000, "9" * 4100, "1e999999", '"1e9999999"'],
+    ids=["digits", "digits-within-int-limit", "exponent", "string-exponent"])
+def test_solve_refuses_oversized_literal(tmp_path, capsys, literal):
+    path = tmp_path / "literal.json"
+    path.write_text('{"kind": "span", "A": [[2, 0], [4, 1]], "p": [5, 2], '
+                    f'"q": [{literal}, 2]}}')
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "needs more than 4000 digits" in err
+
+
+def test_unexpected_exception_is_a_one_line_refusal(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_solve", boom)
+    code, _, err = run(capsys, "solve", "--input", SPAN)
+    assert code == 2
+    assert err == "error: unexpected RuntimeError: boom\n"
 
 
 def refused(capsys, *argv):

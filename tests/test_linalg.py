@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from tropspan import (
     MAX_PLUS,
     MAX_TIMES,
     MIN_PLUS,
+    MIN_TIMES,
     AllZeroMatrix,
     NotSquare,
     ShapeMismatch,
@@ -124,6 +126,87 @@ def test_kleene_star_matches_long_power_sum():
         # geometric stability: A* A* = A* and A A* <= A*
         assert star @ star == star
         assert (m @ star).le(star)
+
+
+def _power_series_star(matrix):
+    # the star as the power series I (+) A (+) ... (+) A^(n-1), on plain
+    # lists, refused when Tr(A), the trace of A A*, lies above one; the
+    # reference for the elimination in kleene_star
+    sf = matrix.semifield
+    a = [list(row) for row in matrix.entries]
+    n = len(a)
+
+    def product(x, y):
+        out = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                acc = Z
+                for k in range(n):
+                    acc = sf.add(acc, sf.mul(x[i][k], y[k][j]))
+                row.append(acc)
+            out.append(row)
+        return out
+
+    star = [[sf.one if i == j else Z for j in range(n)] for i in range(n)]
+    power = star
+    for _ in range(n - 1):
+        power = product(power, a)
+        star = [[sf.add(s, t) for s, t in zip(rs, rt)]
+                for rs, rt in zip(star, power)]
+    closed = product(a, star)
+    tr = Z
+    for i in range(n):
+        tr = sf.add(tr, closed[i][i])
+    if not sf.le(tr, sf.one):
+        raise SpectralConditionViolated(
+            f"Tr = {sf.format_scalar(tr)} exceeds the identity; "
+            "A x <= x has no regular solution")
+    return TropMatrix(sf, star)
+
+
+def _random_star_scalar(rng, sf):
+    # mostly at or below one, so that cycles above one are not certain
+    if sf in (MAX_TIMES, MIN_TIMES):
+        value = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        return value if sf is MAX_TIMES else 1 / value
+    value = Fraction(rng.randint(-8, 2), rng.randint(1, 2))
+    return value if sf is MAX_PLUS else -value
+
+
+def test_kleene_star_matches_power_series():
+    rng = random.Random(59)
+    for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
+        feasible = refused = 0
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            density = rng.random()
+            m = TropMatrix(sf, [[_random_star_scalar(rng, sf)
+                                 if rng.random() < density else Z
+                                 for _ in range(n)] for _ in range(n)])
+            try:
+                expected = _power_series_star(m)
+            except SpectralConditionViolated as exc:
+                refused += 1
+                with pytest.raises(SpectralConditionViolated) as info:
+                    kleene_star(m)
+                assert str(info.value) == str(exc)
+                continue
+            feasible += 1
+            star = kleene_star(m)
+            assert star == expected
+            assert star @ star == star
+        assert feasible >= 20 and refused >= 20, (sf, feasible, refused)
+
+
+def test_kleene_star_refuses_before_eliminating():
+    # every cycle is above one; checking only after the elimination would
+    # square the entries at every pivot, up to 2^(2^24)
+    m = TropMatrix(MAX_TIMES, [[2] * 24 for _ in range(24)])
+    start = time.perf_counter()
+    with pytest.raises(SpectralConditionViolated, match=r"Tr = 16777216 "):
+        kleene_star(m)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_aa_conj_dominates_identity():
