@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,10 +55,32 @@ def _decimal(text: str) -> Fraction:
     if e and size <= MAX_LITERAL_DIGITS:
         size += abs(int(exponent))
     if size > MAX_LITERAL_DIGITS:
-        shown = text if len(text) <= 12 else text[:12] + "..."
-        raise ParseError(f"numeric literal {shown} needs more than "
-                         f"{MAX_LITERAL_DIGITS} digits")
+        raise _oversized(text)
     return Fraction(text)
+
+
+def _oversized(literal: str) -> ParseError:
+    shown = literal if len(literal) <= 12 else literal[:12] + "..."
+    return ParseError(f"numeric literal {shown} needs more than "
+                      f"{MAX_LITERAL_DIGITS} digits")
+
+
+def _locate_oversized(text: str) -> ParseError:
+    """The refusal of the first JSON number json.loads cannot read, located.
+
+    Its hooks get no position, so only this error path scans the numbers
+    outside strings, in the order json.loads reads them."""
+    strings_and_numbers = r'"[^"\\]*(?:\\.[^"\\]*)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?'
+    for match in re.finditer(strings_and_numbers, text):
+        literal, start = match.group(), match.start()
+        try:
+            if literal[0] != '"':
+                (int if literal.lstrip("-").isdigit() else _decimal)(literal)
+        except (ParseError, ValueError):
+            line = text.count("\n", 0, start) + 1
+            column = start - text.rfind("\n", 0, start)
+            return ParseError(f"line {line}, column {column}: {_oversized(literal)}")
+    return ParseError(f"numeric literal needs more than {MAX_LITERAL_DIGITS} digits")
 
 
 def scalar_from_json(value, where: str, semifield: Semifield) -> Scalar:
@@ -155,9 +178,8 @@ def _load_json(text: str):
                          f"{exc.msg}") from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
-    except ValueError:  # an integer past the int <-> str conversion limit
-        raise ParseError(f"numeric literal needs more than "
-                         f"{MAX_LITERAL_DIGITS} digits") from None
+    except (ParseError, ValueError):  # past the cap or the int <-> str limit
+        raise _locate_oversized(text) from None
 
 
 def parse_problem(text: str) -> ProblemDocument:

@@ -13,6 +13,8 @@ The pipeline, for a row-regular A, nonzero p and regular q:
      enumeration with a dominance rule skips selections whose cones are
      contained in ones already produced.  Choosing column j in row i forces
      later rows to column j, so the walk's state is one forced column per row.
+     A forced row needs no scan of its own: every row it could force was
+     forced, or found forced, by the scan that forced it.
   5. Concatenating all S1 columns and dropping dependent ones yields a single
      generator matrix S0 whose span is exactly the solution set.  A column
      is dependent unless it is extremal, which the criterion of Butkovic,
@@ -25,13 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     EnumerationBudgetExceeded,
     NotRegularMatrix,
     NotRegularVector,
     ShapeMismatch,
+    ValidationError,
     ZeroVector,
 )
 from .linalg import TropMatrix, TropVector, ray_key, reduce_to_independent
@@ -177,73 +180,123 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
     with a_kj >= a_ij p_i^-1 p_k to column j: the row-k constraint is then
     implied by the row-i one, so its alternatives cannot enlarge the solution
     set.  The walk's state is the forced column of each row plus the rows
-    each depth forced, released when that depth moves on; an explicit stack
-    of candidate iterators drives it.  Rows with p_i = zero constrain
-    nothing; they keep their leftmost nonzero entry and are never branched
-    or forced, which keeps the pruned and exhaustive listings comparable.
+    forced since each branching row's choice, released when that row moves
+    on; only rows with a choice left get a stack frame, the others are
+    stepped through in a loop.  Rows with p_i = zero constrain nothing; they
+    keep their leftmost nonzero entry and are never branched or forced,
+    which keeps the pruned and exhaustive listings comparable.
+
+    A forced row skips the scan, because it cannot force anything.  Say row
+    i chose j and forced row k to j.  A row l that k's scan could force has
+    a_lj p_l^-1 >= a_kj p_k^-1 >= a_ij p_i^-1, so i's scan forced it or
+    found it forced, and nothing has been released since: rows i..k-1 keep
+    their choices while k is chosen.
     """
     if not sparse.is_row_regular():
         raise NotRegularMatrix("selection enumeration needs a row-regular matrix")
     if p.dim != sparse.rows:
         raise ShapeMismatch(f"p has dim {p.dim}, matrix has {sparse.rows} rows")
     sf = sparse.semifield
+    mul, inv, le = sf.mul, sf.inv, sf.le
     m, n = sparse.shape
-    rows = sparse.entries
+    rows, pe = sparse.entries, p.entries
     forced: list[int | None] = [None] * m
-    forced_by: list[list[int]] = [[] for _ in range(m)]
 
-    def candidates(i: int) -> Iterator[int]:
-        cols = [j for j, a in enumerate(rows[i])
-                if a is not ZERO and forced[i] in (None, j)]
-        return iter(cols[:1] if p[i] is ZERO else cols)
+    def force(i: int, j: int, released: list[int]) -> None:
+        # the dominance scan of row i choosing column j
+        scale = mul(rows[i][j], inv(pe[i]))
+        for k in range(i + 1, m):
+            if forced[k] is None:
+                pk, a_kj = pe[k], rows[k][j]
+                if pk is not ZERO and a_kj is not ZERO and le(mul(scale, pk), a_kj):
+                    forced[k] = j
+                    released.append(k)
 
     def walk() -> Iterator[SelectionMatrix]:
         choice = [0] * m
-        stack = [candidates(0)]
-        emitted = 0
-        while stack:
-            i = len(stack) - 1
-            while forced_by[i]:
-                forced[forced_by[i].pop()] = None
-            j = next(stack[i], None)
-            if j is None:
-                stack.pop()
-                continue
-            choice[i] = j
-            if prune and p[i] is not ZERO:
-                scale = sf.mul(rows[i][j], sf.inv(p[i]))
-                for k in range(i + 1, m):
-                    pk, a_kj = p[k], rows[k][j]
-                    if (forced[k] is None and pk is not ZERO and a_kj is not ZERO
-                            and sf.le(sf.mul(scale, pk), a_kj)):
-                        forced[k] = j
-                        forced_by[i].append(k)
-            if i + 1 < m:
-                stack.append(candidates(i + 1))
-                continue
+        # (row, its remaining candidates, rows forced since its choice) of
+        # each row that branches; the root's forced rows are never released
+        frames: list[tuple[int, Iterator[int], list[int]]] = []
+        released: list[int] = []
+        emitted = i = 0
+        while True:
+            while i < m:
+                j = forced[i]
+                if j is None:
+                    cols = [c for c, a in enumerate(rows[i]) if a is not ZERO]
+                    j = cols[0]
+                    if pe[i] is ZERO:
+                        choice[i] = j
+                        i += 1
+                        continue
+                    if len(cols) > 1:
+                        released = []
+                        frames.append((i, iter(cols[1:]), released))
+                    if prune:
+                        force(i, j, released)
+                choice[i] = j
+                i += 1
             if budget is not None and emitted >= budget:
                 raise EnumerationBudgetExceeded(
                     f"more than {budget} selections", visited=emitted)
             emitted += 1
             yield SelectionMatrix((m, n), tuple(choice))
+            while frames:
+                i, rest, released = frames[-1]
+                while released:
+                    forced[released.pop()] = None
+                j = next(rest, None)
+                if j is not None:
+                    break
+                frames.pop()
+            else:
+                return
+            choice[i] = j
+            if prune:
+                force(i, j, released)
+            i += 1
 
     return walk()
+
+
+def _s1_columns(prob: SpanProblem) -> Callable[[tuple[int, ...]], list[TropVector]]:
+    """The columns of S1 = I (+) l q^- for a selection's chosen_col.
+
+    l = Delta^-1 A1^- p, where entry j of A1^- p sums a_ij^-1 p_i over the
+    rows i that chose column j, so A1 itself is never built.  Column j is
+    l q_j^-1 with one added at row j.  Delta^-1 and q^- are computed once.
+    """
+    sf, rows = prob.semifield, prob.sparsified.entries
+    p, q = prob.p.entries, prob.q.entries
+    add, mul, inv, le, one = sf.add, sf.mul, sf.inv, sf.le, sf.one
+    inv_delta, inv_q = inv(prob.delta), [inv(v) for v in q]
+
+    def columns(chosen_col: tuple[int, ...]) -> list[TropVector]:
+        lower = [ZERO] * len(q)
+        for i, j in enumerate(chosen_col):
+            lower[j] = add(lower[j], mul(inv(rows[i][j]), p[i]))
+        lower = [mul(inv_delta, l) for l in lower]
+        if not all(le(l, u) for l, u in zip(lower, q)):
+            raise ValidationError("interval lower bound exceeds the upper bound")
+        out = []
+        for j, w in enumerate(inv_q):
+            col = [mul(l, w) for l in lower]
+            col[j] = add(one, col[j])
+            out.append(TropVector(sf, col))
+        return out
+
+    return columns
 
 
 def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSet:
     """Span I (+) Delta^-1 A1^- p q^- contributed by one selection.
 
-    Entry j of A1^- p sums a_ij^-1 p_i over the rows i that chose column j,
-    so A1 itself is never built.
+    Built by the same S1 column builder that complete_solution pools from.
     """
     if sel.base_shape != prob.A.shape:
         raise ShapeMismatch(f"selection for shape {sel.base_shape}")
-    sf, rows = prob.semifield, prob.sparsified.entries
-    lower = [ZERO] * prob.A.cols
-    for i, (j, pi) in enumerate(zip(sel.chosen_col, prob.p)):
-        lower[j] = sf.add(lower[j], sf.mul(sf.inv(rows[i][j]), pi))
-    lower = TropVector(sf, lower).scale(sf.inv(prob.delta))
-    return interval_to_generators(IntervalSet(lower=lower, upper=prob.q))
+    return GeneratorSet(TropMatrix.from_columns(
+        prob.semifield, _s1_columns(prob)(sel.chosen_col)))
 
 
 @dataclass(frozen=True)
@@ -277,14 +330,17 @@ def complete_solution(prob: SpanProblem, *,
     the same flags print the identical matrix.  Selections are pooled as the
     walk emits them, skipping columns of rays already pooled, so memory
     follows the distinct rays; a budget overrun re-walks for exc.partial.
+    The columns come from the S1 column builder that selection_generators
+    also uses, without building a matrix per selection.
     """
     sf, sparse = prob.semifield, prob.sparsified
+    columns = _s1_columns(prob)
     rays = {}
     count = 0
     try:
         for count, sel in enumerate(enumerate_selections(
                 sparse, prob.p, prune=prune, budget=budget), 1):
-            for col in selection_generators(sel, prob).generators.columns():
+            for col in columns(sel.chosen_col):
                 rays.setdefault(ray_key(sf, col.entries), col)
     except EnumerationBudgetExceeded as exc:
         exc.partial = list(islice(enumerate_selections(

@@ -121,3 +121,17 @@ def test_input_digest_stability():
     text = (DATA / "span_demo.json").read_text()
     assert input_digest(text) == input_digest(text)
     assert input_digest(text) != input_digest(text + " ")
+
+
+@pytest.mark.parametrize("literal, shown", [
+    ("1e999999", "1e999999"), ("9" * 5000, "999999999999..."),
+    ("[1, -0.5e-99999]", "-0.5e-99999")], ids=["exponent", "digits", "nested"])
+def test_refused_literal_is_located(literal, shown):
+    # the string before it holds the same digits and is not a number
+    text = ('{"kind": "span", "note": "1e999999", "A": [[2, 0], [4, 1]],\n'
+            f' "p": [5, 2], "q": [{literal}, 2]}}')
+    column = 25 if literal.startswith("[") else 21
+    with pytest.raises(ParseError) as info:
+        parse_problem(text)
+    assert str(info.value) == (f"line 2, column {column}: numeric literal "
+                               f"{shown} needs more than 4000 digits")

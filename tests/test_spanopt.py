@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -15,6 +16,9 @@ from conftest import (
 )
 from tropspan import (
     MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    MIN_TIMES,
     EnumerationBudgetExceeded,
     GeneratorSet,
     IntervalSet,
@@ -22,6 +26,7 @@ from tropspan import (
     NotRegularVector,
     SpanProblem,
     TropMatrix,
+    TropVector,
     ZERO,
     attains_minimum,
     complete_solution,
@@ -36,6 +41,7 @@ from tropspan import (
     sparsify,
     verify_optimal,
 )
+from tropspan.spanopt import _s1_columns
 
 
 def test_objective_golden():
@@ -236,6 +242,20 @@ def test_enumerate_taller_than_recursion_limit():
     assert sol.generators.generators == TropMatrix.identity(MAX_PLUS, 3)
 
 
+def test_tall_dense_walk_follows_branching():
+    # 1200 x 3 and dense, yet 51 selections; the recursive reference walk of
+    # test_enumerate_matches_recursive_reference, run once on this problem
+    # (about 40 s, the recursion limit raised), also emits 51
+    rng = random.Random(5)
+    m = 1200
+    prob = SpanProblem(mat([[rng.randint(-5, 5) for _ in range(3)]
+                            for _ in range(m)]), vec([0] * m), vec([0] * 3))
+    start = time.perf_counter()
+    sol = complete_solution(prob)
+    assert time.perf_counter() - start < 1.5
+    assert sol.enumerated_count == 51
+
+
 def test_selection_generators_golden():
     prob = demo_span_problem()
     every = list(enumerate_selections(prob.sparsified, prob.p, prune=False))
@@ -256,6 +276,58 @@ def test_selection_generators_match_materialized_selection():
             lower = (a1.conj() @ prob.p).scale(inv_delta)
             assert selection_generators(sel, prob) == interval_to_generators(
                 IntervalSet(lower=lower, upper=prob.q))
+
+
+def _reference_s1(sel, prob):
+    # the interval formula selection_generators used before the column
+    # builder: validated identity, outer product and sum, then a GeneratorSet
+    sf, rows = prob.semifield, prob.sparsified.entries
+    lower = [ZERO] * prob.A.cols
+    for i, (j, pi) in enumerate(zip(sel.chosen_col, prob.p)):
+        lower[j] = sf.add(lower[j], sf.mul(sf.inv(rows[i][j]), pi))
+    lower = TropVector(sf, lower).scale(sf.inv(prob.delta))
+    return interval_to_generators(IntervalSet(lower=lower, upper=prob.q))
+
+
+def _half_unit_problem(rng, sf):
+    # entries k/2, so sums and products of entries are often integral
+    def value():
+        k = rng.randint(1, 8) if sf in (MAX_TIMES, MIN_TIMES) else rng.randint(-8, 8)
+        return Fraction(k, 2)
+
+    m, n = rng.randint(1, 5), rng.randint(1, 4)
+    rows = [[value() if rng.random() > 0.3 else Z for _ in range(n)]
+            for _ in range(m)]
+    for row in rows:
+        if all(e is Z for e in row):
+            row[rng.randrange(n)] = value()
+    p = [value() if rng.random() > 0.25 else Z for _ in range(m)]
+    p[rng.randrange(m)] = value()
+    return SpanProblem(TropMatrix(sf, rows), TropVector(sf, p),
+                       TropVector(sf, [value() for _ in range(n)]))
+
+
+def _typed(entries):
+    # 1 == Fraction(1), so == alone would hide an unnormalized Fraction
+    return [(type(e), e) for e in entries]
+
+
+def test_s1_columns_are_type_exact():
+    rng = random.Random(89)
+    for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
+        for _ in range(60):
+            prob = _half_unit_problem(rng, sf)
+            columns = _s1_columns(prob)
+            for sel in islice(enumerate_selections(prob.sparsified, prob.p,
+                                                   prune=False), 20):
+                reference = _reference_s1(sel, prob)
+                pooled = columns(sel.chosen_col)
+                assert [_typed(c) for c in pooled] == [
+                    _typed(c) for c in reference.generators.columns()]
+                viewed = selection_generators(sel, prob)
+                assert viewed == reference
+                assert [_typed(row) for row in viewed.generators.entries] == [
+                    _typed(row) for row in reference.generators.entries]
 
 
 def test_budget_overrun_lists_the_emitted_selections():
