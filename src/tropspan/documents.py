@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .linalg import TropMatrix, TropVector
+from .linalg import TropMatrix, TropVector, _trusted
 from .scheduling import ScheduleInstance
 from .semifield import MAX_PLUS, SEMIFIELDS, ZERO, Scalar, Semifield, _norm
 from .spanopt import SpanProblem
@@ -83,28 +83,55 @@ def _locate_oversized(text: str) -> ParseError:
     return ParseError(f"numeric literal needs more than {MAX_LITERAL_DIGITS} digits")
 
 
-def scalar_from_json(value, where: str, semifield: Semifield) -> Scalar:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: booleans are not scalars")
-    if isinstance(value, int):
+def _scalar(value, semifield: Semifield) -> Scalar:
+    """scalar_from_json without the location, which only an error needs.
+
+    Plain ints are tested first and strings before Fraction, whose
+    isinstance test goes through the abstract base classes of numbers.
+    """
+    if type(value) is int or (isinstance(value, int)
+                              and not isinstance(value, bool)):
         if abs(value) < _LITERAL_BOUND:
             return value
-        raise ParseError(f"{where}: integer needs more than "
-                         f"{MAX_LITERAL_DIGITS} digits")
-    if isinstance(value, Fraction):
-        return _norm(value)
+        raise ParseError(f"integer needs more than {MAX_LITERAL_DIGITS} digits")
+    if isinstance(value, bool):
+        raise ParseError("booleans are not scalars")
     if isinstance(value, str):
         if value == semifield.zero_token:
             return ZERO
         try:
             return _norm(_decimal(value))
-        except ParseError as exc:
-            raise ParseError(f"{where}: {exc}") from None
         except (ValueError, ZeroDivisionError):
             raise ParseError(
-                f"{where}: {value!r} is not an integer, a p/q rational, "
+                f"{value!r} is not an integer, a p/q rational, "
                 f"or the token {semifield.zero_token!r}") from None
-    raise ParseError(f"{where}: {value!r} is not a scalar")
+    if isinstance(value, Fraction):
+        return _norm(value)
+    raise ParseError(f"{value!r} is not a scalar")
+
+
+def scalar_from_json(value, where: str, semifield: Semifield) -> Scalar:
+    try:
+        return _scalar(value, semifield)
+    except ParseError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _scalars(values: list, where: str, sf: Semifield) -> list:
+    """scalar_from_json of each value, located as where[i] on error only."""
+    out = []
+    try:
+        for value in values:
+            out.append(_scalar(value, sf))
+    except ParseError as exc:
+        raise ParseError(f"{where}[{len(out)}]: {exc}") from None
+    return out
+
+
+def _built(cls, sf: Semifield, entries):
+    # _scalar admits exactly the max-plus scalars; the other semifields
+    # restrict the domain further, so their constructors check again
+    return _trusted(cls, sf, entries) if sf is MAX_PLUS else cls(sf, entries)
 
 
 def scalar_to_json(value: Scalar, semifield: Semifield):
@@ -118,8 +145,7 @@ def scalar_to_json(value: Scalar, semifield: Semifield):
 def _vector_from_json(value, where: str, sf: Semifield) -> TropVector:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a non-empty array of scalars")
-    return TropVector(sf, [scalar_from_json(v, f"{where}[{i}]", sf)
-                           for i, v in enumerate(value)])
+    return _built(TropVector, sf, _scalars(value, where, sf))
 
 
 def _matrix_from_json(value, where: str, sf: Semifield) -> TropMatrix:
@@ -135,9 +161,8 @@ def _matrix_from_json(value, where: str, sf: Semifield) -> TropMatrix:
         elif len(row) != width:
             raise ParseError(f"{where}: ragged rows "
                              f"(row {i} has {len(row)} entries, expected {width})")
-        rows.append([scalar_from_json(v, f"{where}[{i}][{j}]", sf)
-                     for j, v in enumerate(row)])
-    return TropMatrix(sf, rows)
+        rows.append(_scalars(row, f"{where}[{i}]", sf))
+    return _built(TropMatrix, sf, rows)
 
 
 def _vector_to_json(v: TropVector):

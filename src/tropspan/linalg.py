@@ -13,7 +13,14 @@ Matrices and vectors are immutable value objects holding exact scalars
     x.conj()     entry-wise conjugate x^- (orientation by usage)
 
 Sparsity is semantic (ZERO entries), not representational; problem sizes in
-this domain are tiny, so everything is dense and written for clarity.
+this domain are tiny, so everything is dense.
+
+Scalars are validated once, where they enter: the public TropVector(...) and
+TropMatrix(...) constructors run Semifield.check_value on every entry, and
+from_columns and scale check what they are handed.  Results that the
+kernels here compute from valid scalars (sums, products, conjugates, stars,
+rows and columns, reductions) are built by _trusted, which checks shapes
+only: the semifield operations keep valid scalars valid.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AllZeroMatrix,
+    InversionOfZero,
     NotSquare,
     ShapeMismatch,
     SpectralConditionViolated,
@@ -37,12 +45,24 @@ def _check_same_semifield(a, b):
             f"mixed semifields: {a.semifield.name} vs {b.semifield.name}")
 
 
+def _trusted(cls, semifield: Semifield, entries):
+    """A TropVector or TropMatrix over entries that are valid scalars already:
+    shapes are checked, scalars are not."""
+    obj = cls.__new__(cls)
+    obj._fill(semifield, entries)
+    return obj
+
+
 class TropVector:
     __slots__ = ("semifield", "entries")
 
     def __init__(self, semifield: Semifield, entries: Iterable[Scalar]):
+        check = semifield.check_value
+        self._fill(semifield, [check(e) for e in entries])
+
+    def _fill(self, semifield: Semifield, entries: Iterable[Scalar]) -> None:
         self.semifield = semifield
-        self.entries = tuple([semifield.check_value(e) for e in entries])
+        self.entries = tuple(entries)
         if not self.entries:
             raise ShapeMismatch("vectors must have at least one component")
 
@@ -90,20 +110,21 @@ class TropVector:
         if self.dim != other.dim:
             raise ShapeMismatch(f"vector dims {self.dim} vs {other.dim}")
         add = self.semifield.add
-        return TropVector(self.semifield,
-                          [add(a, b) for a, b in zip(self.entries, other.entries)])
+        return _trusted(TropVector, self.semifield,
+                        [add(a, b) for a, b in zip(self.entries, other.entries)])
 
     def scale(self, c: Scalar) -> "TropVector":
-        mul = self.semifield.mul
-        return TropVector(self.semifield, [mul(c, e) for e in self.entries])
+        sf = self.semifield
+        c, mul = sf.check_value(c), sf.mul
+        return _trusted(TropVector, sf, [mul(c, e) for e in self.entries])
 
     def conj(self) -> "TropVector":
         """Entry-wise multiplicative conjugate; zero entries stay zero."""
         if self.is_zero():
             raise ZeroVector("conjugate of the zero vector is undefined")
         inv = self.semifield.inv
-        return TropVector(self.semifield,
-                          [ZERO if e is ZERO else inv(e) for e in self.entries])
+        return _trusted(TropVector, self.semifield,
+                        [ZERO if e is ZERO else inv(e) for e in self.entries])
 
     def __matmul__(self, other):
         # x @ A: row vector through a matrix; x @ y: dot product.
@@ -123,7 +144,7 @@ class TropVector:
                         continue
                     acc = sf.add(acc, sf.mul(v, w))
                 out.append(acc)
-            return TropVector(sf, out)
+            return _trusted(TropVector, sf, out)
         if isinstance(other, TropVector):
             _check_same_semifield(self, other)
             if self.dim != other.dim:
@@ -150,9 +171,13 @@ class TropMatrix:
     __slots__ = ("semifield", "entries", "rows", "cols")
 
     def __init__(self, semifield: Semifield, rows: Iterable[Iterable[Scalar]]):
+        check = semifield.check_value
+        self._fill(semifield, [[check(e) for e in row] for row in rows])
+
+    def _fill(self, semifield: Semifield,
+              rows: Iterable[Iterable[Scalar]]) -> None:
         self.semifield = semifield
-        self.entries = tuple([tuple([semifield.check_value(e) for e in row])
-                             for row in rows])
+        self.entries = tuple(map(tuple, rows))
         if not self.entries or not self.entries[0]:
             raise ShapeMismatch("matrices must have at least one row and column")
         self.rows = len(self.entries)
@@ -188,11 +213,9 @@ class TropMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def row(self, i: int) -> TropVector:
-        return TropVector(self.semifield, self.entries[i])
-
     def col(self, j: int) -> TropVector:
-        return TropVector(self.semifield, [row[j] for row in self.entries])
+        return _trusted(TropVector, self.semifield,
+                        [row[j] for row in self.entries])
 
     def columns(self) -> list[TropVector]:
         return [self.col(j) for j in range(self.cols)]
@@ -238,9 +261,9 @@ class TropMatrix:
         if self.shape != other.shape:
             raise ShapeMismatch(f"shapes {self.shape} vs {other.shape}")
         add = self.semifield.add
-        return TropMatrix(self.semifield,
-                          [[add(a, b) for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
+        return _trusted(TropMatrix, self.semifield,
+                        [[add(a, b) for a, b in zip(ra, rb)]
+                         for ra, rb in zip(self.entries, other.entries)])
 
     def __matmul__(self, other):
         if isinstance(other, TropMatrix):
@@ -259,7 +282,7 @@ class TropMatrix:
                         if b is not ZERO:
                             out_row[j] = add(out_row[j], mul(a, b))
                 out.append(out_row)
-            return TropMatrix(sf, out)
+            return _trusted(TropMatrix, sf, out)
         if isinstance(other, TropVector):
             _check_same_semifield(self, other)
             if self.cols != other.dim:
@@ -274,24 +297,23 @@ class TropMatrix:
                         continue
                     acc = add(acc, mul(a, x))
                 out.append(acc)
-            return TropVector(sf, out)
+            return _trusted(TropVector, sf, out)
         return NotImplemented
 
     def scale(self, c: Scalar) -> "TropMatrix":
-        mul = self.semifield.mul
-        return TropMatrix(self.semifield,
-                          [[mul(c, e) for e in row] for row in self.entries])
+        sf = self.semifield
+        c, mul = sf.check_value(c), sf.mul
+        return _trusted(TropMatrix, sf,
+                        [[mul(c, e) for e in row] for row in self.entries])
 
     def conj(self) -> "TropMatrix":
         """Multiplicative conjugate transpose: (A^-)_ij = inv(a_ji), zeros kept."""
         if self.is_zero():
             raise AllZeroMatrix("conjugate transpose of an all-zero matrix")
         inv = self.semifield.inv
-        return TropMatrix(self.semifield,
-                          [[ZERO if self.entries[i][j] is ZERO
-                            else inv(self.entries[i][j])
-                            for i in range(self.rows)]
-                           for j in range(self.cols)])
+        return _trusted(TropMatrix, self.semifield,
+                        [[ZERO if e is ZERO else inv(e) for e in col]
+                         for col in zip(*self.entries)])
 
     def le(self, other: "TropMatrix") -> bool:
         _check_same_semifield(self, other)
@@ -306,8 +328,8 @@ def outer(x: TropVector, y: TropVector) -> TropMatrix:
     """Outer product (x y^T)_ij = x_i (x) y_j; pass y already conjugated for x y^-."""
     _check_same_semifield(x, y)
     mul = x.semifield.mul
-    return TropMatrix(x.semifield,
-                      [[mul(a, b) for b in y.entries] for a in x.entries])
+    return _trusted(TropMatrix, x.semifield,
+                    [[mul(a, b) for b in y.entries] for a in x.entries])
 
 
 def trace(matrix: TropMatrix) -> Scalar:
@@ -366,7 +388,7 @@ def kleene_star(matrix: TropMatrix) -> TropMatrix:
                     row_i[j] = add(row_i[j], mul(a, b))
     for i, row in enumerate(c):
         row[i] = add(one, row[i])
-    return TropMatrix(sf, c)
+    return _trusted(TropMatrix, sf, c)
 
 
 def delta(matrix: TropMatrix, b: TropVector) -> Scalar:
@@ -396,14 +418,18 @@ def delta(matrix: TropMatrix, b: TropVector) -> Scalar:
 def ray_key(semifield: Semifield, entries: Sequence[Scalar]) -> tuple:
     """Hashable key shared exactly by the nonzero vectors of one ray.
 
-    The entries scaled so that the first finite one is the semifield one;
+    The entries divided by the first finite one, by the compare-only ratio;
     zero entries stay zero, so the key also carries the support.  Two
     vectors have equal keys iff one is a scalar multiple of the other.  The
     zero vector spans no ray and raises InversionOfZero.
     """
-    first = next((e for e in entries if e is not ZERO), ZERO)
-    mul, scale = semifield.mul, semifield.inv(first)
-    return tuple([mul(e, scale) for e in entries])
+    for first in entries:
+        if first is not ZERO:
+            break
+    else:
+        raise InversionOfZero("the zero vector spans no ray")
+    ratio = semifield.ratio
+    return tuple([e if e is ZERO else ratio(e, first) for e in entries])
 
 
 def residuation_coefficients(matrix: TropMatrix, b: TropVector) -> TropVector:
@@ -433,7 +459,7 @@ def residuation_coefficients(matrix: TropMatrix, b: TropVector) -> TropVector:
             if best is None or sf.le(c, best):
                 best = c
         coeffs.append(ZERO if best is None else best)
-    return TropVector(sf, coeffs)
+    return _trusted(TropVector, sf, coeffs)
 
 
 def depends_on(matrix: TropMatrix, b: TropVector) -> bool:
@@ -451,51 +477,58 @@ def depends_on(matrix: TropMatrix, b: TropVector) -> bool:
     return matrix @ greatest == b
 
 
-def reduce_to_independent(matrix: TropMatrix) -> tuple[TropMatrix, list[int]]:
-    """Drop columns that are tropical combinations of the others.
+def extremal_rays(semifield: Semifield, rays: Sequence[tuple]) -> list[int]:
+    """Positions of the extremal rays among distinct nonzero rays.
 
-    Keeps the first column of every extremal ray of the column cone, in input
-    order, which spans the same set as the input.  Repeated rays are dropped
-    by a lookup on ray_key.  A remaining column v is then tested with the
-    extremality criterion of Butkovic, Schneider & Sergeev, "Generators,
-    extremals and bases of max cones", LAA 421 (2007): v is a combination of
-    the columns of other rays exactly when every index i of its support is
-    covered, that is c u_i = v_i for some such column u with
-    supp(u) within supp(v), where c is the greatest scalar with c u <= v (the
-    order-minimum of v_k u_k^-1 over the support of u).  Returns the reduced
-    matrix and the kept column indices.
+    rays are plain tuples of valid scalars, no two on one ray.  A ray v is a
+    combination of the others exactly when every index i of its support is
+    covered, that is c u_i = v_i for some other ray u with supp(u) within
+    supp(v), where c is the greatest scalar with c u <= v (the order-minimum
+    of v_k u_k^-1 over the support of u): the extremality criterion of
+    Butkovic, Schneider & Sergeev, "Generators, extremals and bases of max
+    cones", LAA 421 (2007).  The support, its bit mask and the values on it
+    are taken once per ray, so a pair costs its ratios and one order-minimum.
     """
-    sf = matrix.semifield
-    mul, inv, le = sf.mul, sf.inv, sf.le
-    cols = list(zip(*matrix.entries))
-    seen = set()
-    rays = []  # (index, support mask, support, entries) of each first ray
-    for j, col in enumerate(cols):
-        sup = tuple(i for i, e in enumerate(col) if e is not ZERO)
-        if not sup:
-            raise ZeroColumn(f"column {j} is all-zero")
-        key = ray_key(sf, col)
-        if key in seen:
-            continue
-        seen.add(key)
-        rays.append((j, sum(1 << i for i in sup), sup, col))
+    ratio, order_min = semifield.ratio, semifield.order_min
+    prepared = []  # (mask, support, bit of each support index, values there)
+    for v in rays:
+        sup = [i for i, e in enumerate(v) if e is not ZERO]
+        bits = [1 << i for i in sup]
+        prepared.append((sum(bits), sup, bits, [v[i] for i in sup]))
     kept = []
-    for j, mask_v, _, v in rays:
-        uncovered = mask_v
-        for l, mask_u, sup_u, u in rays:
-            if l == j or mask_u & ~mask_v:
+    for j, (v, (mask_v, _, _, _)) in enumerate(zip(rays, prepared)):
+        uncovered, outside, at = mask_v, ~mask_v, v.__getitem__
+        for l, (mask_u, sup_u, bits_u, vals_u) in enumerate(prepared):
+            if mask_u & outside or not mask_u & uncovered or l == j:
                 continue
-            ratios = [mul(v[i], inv(u[i])) for i in sup_u]
-            least = ratios[0]
-            for r in ratios:
-                if le(r, least):
-                    least = r
-            for r, i in zip(ratios, sup_u):
+            ratios = list(map(ratio, map(at, sup_u), vals_u))
+            least = order_min(ratios)
+            for r, bit in zip(ratios, bits_u):
                 if r == least:
-                    uncovered &= ~(1 << i)
+                    uncovered &= ~bit
             if not uncovered:
                 break
         if uncovered:
             kept.append(j)
-    reduced = TropMatrix(sf, [[row[j] for j in kept] for row in matrix.entries])
-    return reduced, kept
+    return kept
+
+
+def reduce_to_independent(matrix: TropMatrix) -> tuple[TropMatrix, list[int]]:
+    """Drop columns that are tropical combinations of the others.
+
+    Keeps the first column of every extremal ray of the column cone, in input
+    order, which spans the same set as the input: repeated rays are dropped
+    by a lookup on ray_key, and extremal_rays tests the rest.  Returns the
+    reduced matrix and the kept column indices.
+    """
+    sf = matrix.semifield
+    cols = list(zip(*matrix.entries))
+    first = {}  # ray_key -> index of the first column on the ray
+    for j, col in enumerate(cols):
+        if all(e is ZERO for e in col):
+            raise ZeroColumn(f"column {j} is all-zero")
+        first.setdefault(ray_key(sf, col), j)
+    index = list(first.values())
+    kept = [index[k] for k in extremal_rays(sf, [cols[j] for j in index])]
+    reduced = [[row[j] for j in kept] for row in matrix.entries]
+    return _trusted(TropMatrix, sf, reduced), kept

@@ -19,10 +19,19 @@ element of the total order (for the min-* instances the semifield order is
 the reverse of the numeric one, so "+inf" sits at the bottom).  Only max-plus
 is exposed through file formats and the CLI; the others keep the abstraction
 honest and are exercised by the axiom tests.
+
+check_value validates a scalar from outside: the parser and the public
+TropVector and TropMatrix constructors call it.  The operations keep valid
+scalars valid, and mul and inv return integral values as int, so results
+computed from valid scalars need no second check.  Each instance also binds
+two compare-only kernels on finite values, ratio (v (x) u^-1) and order_min
+(the least of several values in the semifield order); their results are
+compared, never stored.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -67,7 +76,8 @@ class Semifield:
     the module-level MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES.
     """
 
-    __slots__ = ("name", "one", "zero_token", "_reversed", "_multiplicative")
+    __slots__ = ("name", "one", "zero_token", "_reversed", "_multiplicative",
+                 "ratio", "order_min")
 
     def __init__(self, name: str, one, *, reversed_order: bool, multiplicative: bool,
                  zero_token: str):
@@ -76,6 +86,9 @@ class Semifield:
         self.zero_token = zero_token
         self._reversed = reversed_order
         self._multiplicative = multiplicative
+        # Fraction(v, u) is the exact v / u, and may be an integral Fraction
+        self.ratio = Fraction if multiplicative else operator.sub
+        self.order_min = max if reversed_order else min
 
     def __repr__(self):
         return f"Semifield({self.name!r})"
@@ -119,7 +132,8 @@ class Semifield:
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         if a is ZERO or b is ZERO:
             return ZERO
-        return _norm(a * b) if self._multiplicative else a + b
+        c = a * b if self._multiplicative else a + b
+        return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
     def inv(self, a: Scalar) -> Scalar:
         if a is ZERO:

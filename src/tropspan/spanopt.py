@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
     ZeroVector,
 )
-from .linalg import TropMatrix, TropVector, ray_key, reduce_to_independent
+from .linalg import TropMatrix, TropVector, _trusted, extremal_rays, ray_key
 from .semifield import ZERO, Scalar
 from .solvers import GeneratorSet, IntervalSet, interval_to_generators
 
@@ -79,7 +79,7 @@ class SpanProblem:
             scale = ZERO if pi is ZERO else sf.mul(inv_delta, pi)
             rows.append([a if sf.le(sf.mul(scale, inv_q[j]), a) else ZERO
                          for j, a in enumerate(row)])
-        sparse = TropMatrix(sf, rows)
+        sparse = _trusted(TropMatrix, sf, rows)
         assert sparse.is_row_regular()
         return sparse
 
@@ -157,7 +157,7 @@ class SelectionMatrix:
             assert entry is not ZERO
             rows.append([entry if k == j else ZERO
                          for k in range(sparse.cols)])
-        return TropMatrix(sparse.semifield, rows)
+        return _trusted(TropMatrix, sparse.semifield, rows)
 
 
 def selection_count(sparse: TropMatrix, p: TropVector) -> int:
@@ -259,22 +259,25 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
     return walk()
 
 
-def _s1_columns(prob: SpanProblem) -> Callable[[tuple[int, ...]], list[TropVector]]:
-    """The columns of S1 = I (+) l q^- for a selection's chosen_col.
+def _s1_columns(prob: SpanProblem) -> Callable[[tuple[int, ...]], list[tuple]]:
+    """The columns of S1 = I (+) l q^- for a selection's chosen_col, as tuples.
 
-    l = Delta^-1 A1^- p, where entry j of A1^- p sums a_ij^-1 p_i over the
-    rows i that chose column j, so A1 itself is never built.  Column j is
-    l q_j^-1 with one added at row j.  Delta^-1 and q^- are computed once.
+    l = Delta^-1 A1^- p, where entry j of A1^- p sums p_i a_ij^-1 over the
+    rows i that chose column j, so A1 itself is never built.  Those terms
+    are compare-only ratios; the product with Delta^-1 makes each entry of l
+    a valid scalar.  Column j is l q_j^-1 with one added at row j.
+    Delta^-1 and q^- are computed once.
     """
     sf, rows = prob.semifield, prob.sparsified.entries
     p, q = prob.p.entries, prob.q.entries
-    add, mul, inv, le, one = sf.add, sf.mul, sf.inv, sf.le, sf.one
-    inv_delta, inv_q = inv(prob.delta), [inv(v) for v in q]
+    add, mul, le, one, ratio = sf.add, sf.mul, sf.le, sf.one, sf.ratio
+    inv_delta, inv_q = sf.inv(prob.delta), [sf.inv(v) for v in q]
 
-    def columns(chosen_col: tuple[int, ...]) -> list[TropVector]:
+    def columns(chosen_col: tuple[int, ...]) -> list[tuple]:
         lower = [ZERO] * len(q)
-        for i, j in enumerate(chosen_col):
-            lower[j] = add(lower[j], mul(inv(rows[i][j]), p[i]))
+        for row, j, pi in zip(rows, chosen_col, p):
+            if pi is not ZERO:
+                lower[j] = add(lower[j], ratio(pi, row[j]))
         lower = [mul(inv_delta, l) for l in lower]
         if not all(le(l, u) for l, u in zip(lower, q)):
             raise ValidationError("interval lower bound exceeds the upper bound")
@@ -282,7 +285,7 @@ def _s1_columns(prob: SpanProblem) -> Callable[[tuple[int, ...]], list[TropVecto
         for j, w in enumerate(inv_q):
             col = [mul(l, w) for l in lower]
             col[j] = add(one, col[j])
-            out.append(TropVector(sf, col))
+            out.append(tuple(col))
         return out
 
     return columns
@@ -295,8 +298,8 @@ def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSe
     """
     if sel.base_shape != prob.A.shape:
         raise ShapeMismatch(f"selection for shape {sel.base_shape}")
-    return GeneratorSet(TropMatrix.from_columns(
-        prob.semifield, _s1_columns(prob)(sel.chosen_col)))
+    return GeneratorSet(_trusted(TropMatrix, prob.semifield,
+                                 zip(*_s1_columns(prob)(sel.chosen_col))))
 
 
 @dataclass(frozen=True)
@@ -309,15 +312,15 @@ class CompleteSolution:
     pruned_count: int
 
 
-def _column_key(col: TropVector):
-    sup = col.support()
-    return (len(sup), sup, tuple(col[i] for i in sup))
+def _column_key(col: tuple):
+    sup = tuple([i for i, e in enumerate(col) if e is not ZERO])
+    return (len(sup), sup, tuple([col[i] for i in sup]))
 
 
 def canonical_column_order(matrix: TropMatrix) -> TropMatrix:
     """Reorder columns by zero pattern, then values, for reproducible output."""
-    cols = sorted(matrix.columns(), key=_column_key)
-    return TropMatrix.from_columns(matrix.semifield, cols)
+    cols = sorted(zip(*matrix.entries), key=_column_key)
+    return _trusted(TropMatrix, matrix.semifield, zip(*cols))
 
 
 def complete_solution(prob: SpanProblem, *,
@@ -325,13 +328,13 @@ def complete_solution(prob: SpanProblem, *,
                       prune: bool = True) -> CompleteSolution:
     """Assemble S0: enumerate selections, pool their generators, reduce.
 
-    The pooled columns are reduced left to right in enumeration order and the
-    surviving basis is put into canonical column order, so repeated runs with
-    the same flags print the identical matrix.  Selections are pooled as the
-    walk emits them, skipping columns of rays already pooled, so memory
-    follows the distinct rays; a budget overrun re-walks for exc.partial.
-    The columns come from the S1 column builder that selection_generators
-    also uses, without building a matrix per selection.
+    Selections are pooled as the walk emits them: the S1 columns, plain
+    tuples from the builder that selection_generators also uses, are keyed
+    by ray_key, and a column of a ray already pooled is skipped, so memory
+    follows the distinct rays.  extremal_rays keeps the extremal ones, and
+    the surviving basis is put into canonical column order, so repeated runs
+    with the same flags print the identical matrix.  A budget overrun
+    re-walks for exc.partial.
     """
     sf, sparse = prob.semifield, prob.sparsified
     columns = _s1_columns(prob)
@@ -341,12 +344,13 @@ def complete_solution(prob: SpanProblem, *,
         for count, sel in enumerate(enumerate_selections(
                 sparse, prob.p, prune=prune, budget=budget), 1):
             for col in columns(sel.chosen_col):
-                rays.setdefault(ray_key(sf, col.entries), col)
+                rays.setdefault(ray_key(sf, col), col)
     except EnumerationBudgetExceeded as exc:
         exc.partial = list(islice(enumerate_selections(
             sparse, prob.p, prune=prune, budget=None), exc.visited))
         raise
-    pooled = TropMatrix.from_columns(sf, list(rays.values()))
-    ordered = canonical_column_order(reduce_to_independent(pooled)[0])
+    pool = list(rays.values())
+    kept = [pool[k] for k in extremal_rays(sf, pool)]
+    ordered = canonical_column_order(_trusted(TropMatrix, sf, zip(*kept)))
     pruned = selection_count(sparse, prob.p) - count
     return CompleteSolution(prob.delta, GeneratorSet(ordered), count, pruned)

@@ -63,6 +63,18 @@ def test_solve_deterministic(capsys):
     assert first == second
 
 
+def test_solve_writes_integral_half_unit_sums_as_integers(tmp_path, capsys):
+    # Delta = -1/2 + 1/2: an integral value is a JSON integer, never "0"
+    problem = tmp_path / "half.json"
+    problem.write_text('{"kind": "span", "A": [["1/2"]], "p": ["1/2"], '
+                       '"q": [0]}')
+    code, out, err = run(capsys, "solve", "--input", str(problem))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert type(doc["delta"]) is int and doc["delta"] == 0
+    assert doc["generators"] == [[0]]
+
+
 def test_solve_writes_file(tmp_path, capsys):
     out_path = tmp_path / "solution.json"
     code, out, _ = run(capsys, "solve", "--input", SPAN,

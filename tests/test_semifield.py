@@ -52,6 +52,18 @@ def test_max_times_arithmetic_is_exact():
     assert MAX_TIMES.add(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 2)
 
 
+def test_mul_returns_integral_values_as_int():
+    # kernels store products unchecked, so mul itself must return the
+    # normalized scalar that check_value would
+    for sf, a, b in ((MAX_PLUS, Fraction(1, 2), Fraction(1, 2)),
+                     (MIN_PLUS, Fraction(1, 2), Fraction(1, 2)),
+                     (MAX_TIMES, Fraction(2, 3), Fraction(3, 2)),
+                     (MIN_TIMES, Fraction(2, 3), Fraction(3, 2))):
+        product = sf.mul(a, b)
+        assert type(product) is int and product == 1
+    assert MAX_PLUS.mul(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+
+
 def test_max_times_domain_is_positive():
     with pytest.raises(ValidationError):
         MAX_TIMES.check_value(-1)

@@ -41,7 +41,8 @@ from tropspan import (
     sparsify,
     verify_optimal,
 )
-from tropspan.spanopt import _s1_columns
+from tropspan.linalg import ray_key, reduce_to_independent
+from tropspan.spanopt import _s1_columns, canonical_column_order
 
 
 def test_objective_golden():
@@ -328,6 +329,41 @@ def test_s1_columns_are_type_exact():
                 assert viewed == reference
                 assert [_typed(row) for row in viewed.generators.entries] == [
                     _typed(row) for row in reference.generators.entries]
+
+
+def test_complete_solution_is_valid_as_built():
+    # S0 is built without check_value; a validating rebuild must keep every
+    # value and type, integral sums of half units included
+    rng = random.Random(91)
+    for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
+        for _ in range(60):
+            prob = _half_unit_problem(rng, sf)
+            sol = complete_solution(prob)
+            s0 = sol.generators.generators
+            rebuilt = TropMatrix(sf, s0.entries)
+            assert [_typed(row) for row in s0.entries] == [
+                _typed(row) for row in rebuilt.entries]
+            assert _typed([sol.delta]) == _typed([sf.check_value(sol.delta)])
+
+
+def test_complete_solution_is_the_reduction_of_all_s1_columns():
+    # complete_solution pools distinct rays and calls the extremality kernel
+    # directly; reducing every S1 column at once must give the same S0
+    rng = random.Random(93)
+    repeated = 0
+    for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
+        for _ in range(60):
+            prob = _half_unit_problem(rng, sf)
+            pooled = [col for sel in enumerate_selections(prob.sparsified,
+                                                          prob.p)
+                      for col in selection_generators(
+                          sel, prob).generators.columns()]
+            repeated += len(pooled) - len({ray_key(sf, c) for c in pooled})
+            whole, _ = reduce_to_independent(
+                TropMatrix.from_columns(sf, pooled))
+            assert complete_solution(prob).generators.generators \
+                == canonical_column_order(whole)
+    assert repeated > 0
 
 
 def test_budget_overrun_lists_the_emitted_selections():

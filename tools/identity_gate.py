@@ -1,0 +1,139 @@
+"""Hash what the package computes on the benchmark corpora and sample files.
+
+    python3 tools/identity_gate.py [--seeds N ...]
+
+Prints one sha256 per workload and seed, and one for the command line:
+
+  span-square, span-tall   complete_solution pruned, and exhaustive under a
+                           budget of 3000 (visited and the partial listing
+                           when that budget is overrun)
+  schedule-jit             solve_schedule and latest_schedule
+  cli                      stdout, stderr and exit code of solve (plain,
+                           --exhaustive, --compact), enumerate (plain,
+                           --exhaustive), plot, and verify of both solution
+                           documents, on every file of tests/data and
+                           benchmark/data
+
+Every scalar is hashed with its Python type, so an int and an equal Fraction
+differ.  The corpora come from benchmark/corpus.py, read and never written.
+Run the tool in two checkouts and compare the lines: a change that keeps
+every result prints the same lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
+sys.dont_write_bytecode = True  # leave no bytecode beside the corpus
+
+import corpus  # noqa: E402
+from tropspan import (  # noqa: E402
+    ZERO,
+    EnumerationBudgetExceeded,
+    ScheduleInstance,
+    SpanProblem,
+    complete_solution,
+    latest_schedule,
+    solve_schedule,
+)
+from tropspan.documents import parse_problem  # noqa: E402
+
+OVERRUN_BUDGET = 3000
+CLI_DATA = ("tests/data", "benchmark/data")
+CLI_COMMANDS = (("solve",), ("solve", "--exhaustive"), ("solve", "--compact"),
+                ("enumerate",), ("enumerate", "--exhaustive"), ("plot",))
+
+
+def typed(value) -> str:
+    """Text of nested tuples and scalars that names each scalar's type."""
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(typed(v) for v in value) + ")"
+    if value is ZERO:
+        return "ZERO"
+    return f"{type(value).__name__}:{value}"
+
+
+def span_lines(texts):
+    for text in texts:
+        entries = parse_problem(text).entries
+        prob = SpanProblem(entries["A"], entries["p"], entries["q"])
+        sol = complete_solution(prob)
+        yield typed((sol.delta, sol.generators.generators.entries,
+                     sol.enumerated_count, sol.pruned_count))
+        try:
+            sol = complete_solution(prob, prune=False, budget=OVERRUN_BUDGET)
+        except EnumerationBudgetExceeded as exc:
+            yield typed(("overrun", exc.visited,
+                         tuple(s.chosen_col for s in exc.partial)))
+        else:
+            yield typed((sol.delta, sol.generators.generators.entries,
+                         sol.enumerated_count, sol.pruned_count))
+
+
+def schedule_lines(texts):
+    for text in texts:
+        entries = parse_problem(text).entries
+        sol = solve_schedule(ScheduleInstance(*(entries[k] for k in "ABCf")))
+        x, y = latest_schedule(sol)
+        yield typed((sol.delta, sol.span_generators.entries,
+                     sol.x_generators.entries, sol.y_generators.entries,
+                     sol.coeff_bound.entries, sol.enumerated_count,
+                     sol.pruned_count, x.entries, y.entries))
+
+
+def cli_lines():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        for folder in CLI_DATA:
+            for path in sorted((ROOT / folder).glob("*.json")):
+                name = f"{folder.replace('/', '-')}-{path.name}"
+                shutil.copyfile(path, Path(work) / name)
+                runs = [args + ("--input", name) for args in CLI_COMMANDS]
+                for flag, out in (((), "plain.json"),
+                                  (("--exhaustive",), "exhaustive.json")):
+                    subprocess.run([sys.executable, "-m", "tropspan", "solve",
+                                    *flag, "--input", name, "--output", out],
+                                   cwd=work, env=env, capture_output=True)
+                    runs.append(("verify", "--input", name,
+                                 "--candidates", out))
+                for args in runs:
+                    done = subprocess.run(
+                        [sys.executable, "-m", "tropspan", *args], cwd=work,
+                        env=env, capture_output=True, text=True)
+                    yield (f"{' '.join(args)}\nexit {done.returncode}\n"
+                           f"{done.stdout}\n{done.stderr}")
+
+
+def digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = parser.parse_args(argv)
+    workloads = (("span-square", corpus.span_square, span_lines),
+                 ("span-tall", corpus.span_tall, span_lines),
+                 ("schedule-jit", corpus.schedule_jit, schedule_lines))
+    for name, make, lines in workloads:
+        for seed in args.seeds:
+            texts, _ = make(seed)
+            print(f"{name} seed {seed} {digest(lines(texts))}", flush=True)
+    print(f"cli {' '.join(CLI_DATA)} {digest(cli_lines())}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
