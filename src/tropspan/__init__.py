@@ -43,7 +43,6 @@ from .scheduling import (
     ScheduleInstance,
     ScheduleReport,
     ScheduleSolution,
-    build_instance,
     check_schedule,
     compact_generators,
     instantiate,
@@ -65,10 +64,8 @@ from .semifield import (
 from .solvers import (
     GeneratorSet,
     IntervalSet,
-    greatest_coefficients,
     interval_to_generators,
     membership,
-    solve_subinvariant,
     solve_upper_bound,
 )
 from .spanopt import (
@@ -80,10 +77,8 @@ from .spanopt import (
     enumerate_selections,
     extended_interval,
     extended_solution,
-    minimum_value,
     objective,
     selection_generators,
-    sparsify,
     verify_optimal,
 )
 

@@ -20,7 +20,6 @@ from .errors import (
     EnumerationBudgetExceeded,
     InfeasibleDeadline,
     InfeasiblePrecedence,
-    ParseError,
     TropicalError,
 )
 from .plotting import render_span_svg
@@ -80,10 +79,10 @@ def _solve_span_document(doc, digest, *, budget, prune, compact):
         enumeration_visited=sol.enumerated_count,
         enumeration_pruned=sol.pruned_count,
         compact=compact,
-        generators=sol.generators.generators,
-        extended_lower=interval.lower,
-        extended_upper=interval.upper,
-        extended_generators=extended.generators,
+        entries={"generators": sol.generators.generators,
+                 "extended.lower": interval.lower,
+                 "extended.upper": interval.upper,
+                 "extended.generators": extended.generators},
     )
 
 
@@ -101,12 +100,12 @@ def _solve_schedule_document(doc, digest, *, budget, prune, compact):
         enumeration_visited=sol.enumerated_count,
         enumeration_pruned=sol.pruned_count,
         compact=compact,
-        span_generators=sol.span_generators,
-        x_generators=sol.x_generators,
-        y_generators=sol.y_generators,
-        coefficient_bound=sol.coeff_bound,
-        latest_x=x_latest,
-        latest_y=y_latest,
+        entries={"span_generators": sol.span_generators,
+                 "x_generators": sol.x_generators,
+                 "y_generators": sol.y_generators,
+                 "coefficient_bound": sol.coeff_bound,
+                 "latest.x": x_latest,
+                 "latest.y": y_latest},
     )
 
 
@@ -180,18 +179,18 @@ def _verify_solution_document(problem_text, doc, given) -> tuple[list[str], bool
     checks.append(("recomputation",
                    docs.serialize_solution(expected)
                    == docs.serialize_solution(given)))
-    sf = given.semifield
     if given.kind == docs.KIND_SPAN_SOLUTION:
         prob = doc.to_span_problem()
         checks.append(("delta", given.delta == prob.delta))
-        cols = given.generators.columns()
+        generators = given.entries["generators"]
         checks.append(("generator columns attain delta",
-                       all(attains_minimum(prob, c) for c in cols)))
+                       all(attains_minimum(prob, c) for c in generators.columns())))
         checks.append(("q lies in the generator span",
-                       membership(GeneratorSet(given.generators), prob.q)))
+                       membership(GeneratorSet(generators), prob.q)))
     else:
         inst = doc.to_schedule_instance()
-        report = check_schedule(inst, given.latest_x, given.latest_y)
+        report = check_schedule(inst, given.entries["latest.x"],
+                                given.entries["latest.y"])
         checks.append(("latest schedule feasible", report.ok))
         checks.append(("latest schedule attains delta",
                        report.span == given.delta))
@@ -202,40 +201,10 @@ def _verify_solution_document(problem_text, doc, given) -> tuple[list[str], bool
     return lines, all_ok
 
 
-def _parse_candidates(text: str, doc):
-    data = docs._load_json(text)
-    if not isinstance(data, dict):
-        raise ParseError("candidates: top level must be an object")
-    kind = data.get("kind")
-    sf = doc.semifield
-    if kind in (docs.KIND_SPAN_SOLUTION, docs.KIND_SCHEDULE_SOLUTION):
-        return ("solution", docs.parse_solution(text))
-    if kind != "candidates":
-        raise ParseError("candidates file must have kind 'candidates' or be "
-                         "a solution document")
-    if doc.kind == docs.KIND_SPAN:
-        raw = data.get("vectors")
-        if not isinstance(raw, list) or not raw:
-            raise ParseError("candidates: expected a non-empty 'vectors' array")
-        vectors = [docs._vector_from_json(v, f"vectors[{i}]", sf)
-                   for i, v in enumerate(raw)]
-        return ("vectors", vectors)
-    raw = data.get("schedules")
-    if not isinstance(raw, list) or not raw:
-        raise ParseError("candidates: expected a non-empty 'schedules' array")
-    pairs = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict) or "x" not in item or "y" not in item:
-            raise ParseError(f"schedules[{i}]: expected an object with x and y")
-        pairs.append((docs._vector_from_json(item["x"], f"schedules[{i}].x", sf),
-                      docs._vector_from_json(item["y"], f"schedules[{i}].y", sf)))
-    return ("pairs", pairs)
-
-
 def cmd_verify(args) -> int:
     problem_text = _read(args.input)
     doc = docs.parse_problem(problem_text)
-    shape, payload = _parse_candidates(_read(args.candidates), doc)
+    shape, payload = docs.parse_candidates(_read(args.candidates), doc)
     if shape == "solution":
         lines, ok = _verify_solution_document(problem_text, doc, payload)
     elif shape == "vectors":

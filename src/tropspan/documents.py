@@ -9,7 +9,9 @@ byte-identical outputs.
 
 Problem files carry a "kind" of "span" (fields A, p, q) or "schedule"
 (fields A, B, C, f); solution documents echo a SHA-256 of the input text so
-a result can always be matched to the problem that produced it.
+a result can always be matched to the problem that produced it.  The
+matrices and vectors of every kind are listed in _FIELDS by dotted JSON
+path, and one reader and one writer serve all four kinds.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TropicalError, ValidationError
 from .linalg import TropMatrix, TropVector, _trusted
 from .scheduling import ScheduleInstance
 from .semifield import MAX_PLUS, SEMIFIELDS, ZERO, Scalar, Semifield, _norm
@@ -31,8 +33,17 @@ KIND_SCHEDULE = "schedule"
 KIND_SPAN_SOLUTION = "span-solution"
 KIND_SCHEDULE_SOLUTION = "schedule-solution"
 
-_SPAN_FIELDS = {"A": "matrix", "p": "vector", "q": "vector"}
-_SCHEDULE_FIELDS = {"A": "matrix", "B": "matrix", "C": "matrix", "f": "vector"}
+# The matrices and vectors of each kind of document, by dotted JSON path.
+# A problem's entries come in the argument order of its check_data.
+_FIELDS = {
+    KIND_SPAN: {"A": "matrix", "p": "vector", "q": "vector"},
+    KIND_SCHEDULE: {"A": "matrix", "B": "matrix", "C": "matrix", "f": "vector"},
+    KIND_SPAN_SOLUTION: {"generators": "matrix", "extended.lower": "vector",
+                         "extended.upper": "vector", "extended.generators": "matrix"},
+    KIND_SCHEDULE_SOLUTION: {"span_generators": "matrix", "x_generators": "matrix",
+                             "y_generators": "matrix", "coefficient_bound": "vector",
+                             "latest.x": "vector", "latest.y": "vector"},
+}
 
 # Below the 4300 digits that int <-> str conversion accepts by default, with
 # room for the sums of entries a solution holds.
@@ -173,6 +184,65 @@ def _matrix_to_json(m: TropMatrix):
     return [[scalar_to_json(e, m.semifield) for e in row] for row in m.entries]
 
 
+# -- one reader and one writer for every kind ---------------------------------
+
+def _load_json(text: str):
+    try:
+        return json.loads(text, parse_float=_decimal, parse_int=int)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                         f"{exc.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
+    except (ParseError, ValueError):  # past the cap or the int <-> str limit
+        raise _locate_oversized(text) from None
+
+
+def _header(data, kinds: tuple[str, str]) -> tuple[str, Semifield]:
+    """The kind, one of kinds, and the semifield of a loaded document."""
+    if not isinstance(data, dict):
+        raise ParseError("top level must be an object")
+    kind = data.get("kind")
+    if kind not in kinds:
+        raise ParseError(f"kind must be {kinds[0]!r} or {kinds[1]!r}, "
+                         f"got {kind!r}")
+    sf_name = data.get("semifield", MAX_PLUS.name)
+    if not isinstance(sf_name, str) or sf_name not in SEMIFIELDS:
+        raise ParseError(f"unknown semifield {sf_name!r}")
+    return kind, SEMIFIELDS[sf_name]
+
+
+def _field(data: dict, path: str, kind: str):
+    """The value at a dotted path of a document, or a refusal naming the path."""
+    value = data
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ParseError(f"missing field {path!r} for kind {kind!r}")
+        value = value[key]
+    return value
+
+
+def _read_entries(data: dict, kind: str, sf: Semifield) -> dict:
+    """Every matrix and vector _FIELDS lists for kind, keyed by its path."""
+    entries = {}
+    for path, shape in _FIELDS[kind].items():
+        loader = _matrix_from_json if shape == "matrix" else _vector_from_json
+        entries[path] = loader(_field(data, path, kind), path, sf)
+    return entries
+
+
+def _write_entries(payload: dict, entries: dict) -> str:
+    """Canonical text of a header payload, entries nested at their paths."""
+    for path, value in entries.items():
+        *parents, name = path.split(".")
+        node = payload
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[name] = (_matrix_to_json(value) if isinstance(value, TropMatrix)
+                      else _vector_to_json(value))
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 # -- problem documents --------------------------------------------------------
 
 @dataclass(frozen=True, eq=True)
@@ -195,46 +265,19 @@ class ProblemDocument:
                                 self.entries["C"], self.entries["f"])
 
 
-def _load_json(text: str):
-    try:
-        return json.loads(text, parse_float=_decimal, parse_int=int)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                         f"{exc.msg}") from None
-    except RecursionError:
-        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
-    except (ParseError, ValueError):  # past the cap or the int <-> str limit
-        raise _locate_oversized(text) from None
-
-
 def parse_problem(text: str) -> ProblemDocument:
+    """A problem document whose data its problem class accepts; a schedule's
+    Kleene star is left to the instance, which refuses infeasible precedence."""
     data = _load_json(text)
-    if not isinstance(data, dict):
-        raise ParseError("top level must be an object")
-    kind = data.get("kind")
-    if kind not in (KIND_SPAN, KIND_SCHEDULE):
-        raise ParseError(f"kind must be {KIND_SPAN!r} or {KIND_SCHEDULE!r}, "
-                         f"got {kind!r}")
-    sf_name = data.get("semifield", MAX_PLUS.name)
-    if sf_name not in SEMIFIELDS:
-        raise ParseError(f"unknown semifield {sf_name!r}")
-    if sf_name != MAX_PLUS.name:
+    kind, sf = _header(data, (KIND_SPAN, KIND_SCHEDULE))
+    if sf is not MAX_PLUS:
         raise ValidationError(
             f"only the {MAX_PLUS.name} semifield is supported in problem files")
-    sf = SEMIFIELDS[sf_name]
-
-    fields = _SPAN_FIELDS if kind == KIND_SPAN else _SCHEDULE_FIELDS
-    allowed = set(fields) | {"kind", "semifield", "metadata"}
+    allowed = set(_FIELDS[kind]) | {"kind", "semifield", "metadata"}
     unexpected = sorted(set(data) - allowed)
     if unexpected:
         raise ParseError(f"unexpected fields: {', '.join(unexpected)}")
-
-    entries = {}
-    for name, shape in fields.items():
-        if name not in data:
-            raise ParseError(f"missing field {name!r} for kind {kind!r}")
-        loader = _matrix_from_json if shape == "matrix" else _vector_from_json
-        entries[name] = loader(data[name], name, sf)
+    entries = _read_entries(data, kind, sf)
 
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict) or any(
@@ -242,52 +285,20 @@ def parse_problem(text: str) -> ProblemDocument:
             for k, v in metadata.items()):
         raise ParseError("metadata must map strings to strings")
 
-    _validate_shapes(kind, entries)
+    check = SpanProblem.check_data if kind == KIND_SPAN else ScheduleInstance.check_data
+    try:
+        check(*entries.values())
+    except TropicalError as exc:
+        raise ValidationError(str(exc)) from None
     return ProblemDocument(kind=kind, semifield=sf, entries=entries,
                            metadata=dict(metadata))
 
 
-def _validate_shapes(kind: str, entries: dict) -> None:
-    if kind == KIND_SPAN:
-        A, p, q = entries["A"], entries["p"], entries["q"]
-        if p.dim != A.rows:
-            raise ValidationError(f"p has {p.dim} components, A has {A.rows} rows")
-        if q.dim != A.cols:
-            raise ValidationError(f"q has {q.dim} components, A has {A.cols} columns")
-        if not A.is_row_regular():
-            raise ValidationError("A not row-regular")
-        if p.is_zero():
-            raise ValidationError("p is the zero vector")
-        if not q.is_regular():
-            raise ValidationError("q not regular")
-    else:
-        A = entries["A"]
-        n = A.rows
-        for name in ("B", "C"):
-            if entries[name].shape != (n, n):
-                raise ValidationError(f"{name} must be {n}x{n}, "
-                                      f"got {entries[name].shape}")
-        if A.shape != (n, n):
-            raise ValidationError(f"A must be square, got {A.shape}")
-        if entries["f"].dim != n:
-            raise ValidationError(f"f must have {n} components, "
-                                  f"got {entries['f'].dim}")
-        if not A.is_regular():
-            raise ValidationError("A not regular")
-        if not entries["f"].is_regular():
-            raise ValidationError("f not regular")
-
-
 def serialize_problem(doc: ProblemDocument) -> str:
     payload = {"kind": doc.kind, "semifield": doc.semifield.name}
-    for name, value in doc.entries.items():
-        if isinstance(value, TropMatrix):
-            payload[name] = _matrix_to_json(value)
-        else:
-            payload[name] = _vector_to_json(value)
     if doc.metadata:
         payload["metadata"] = dict(sorted(doc.metadata.items()))
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _write_entries(payload, doc.entries)
 
 
 # -- solution documents -------------------------------------------------------
@@ -301,21 +312,12 @@ class SolutionDocument:
     enumeration_visited: int
     enumeration_pruned: int
     compact: bool
-    generators: TropMatrix | None = None          # span: S0
-    extended_lower: TropVector | None = None      # span: interval bounds
-    extended_upper: TropVector | None = None
-    extended_generators: TropMatrix | None = None
-    span_generators: TropMatrix | None = None     # schedule: S0
-    x_generators: TropMatrix | None = None
-    y_generators: TropMatrix | None = None
-    coefficient_bound: TropVector | None = None
-    latest_x: TropVector | None = None
-    latest_y: TropVector | None = None
+    entries: dict  # path of _FIELDS[kind] -> TropMatrix | TropVector
 
 
 def serialize_solution(doc: SolutionDocument) -> str:
     sf = doc.semifield
-    payload = {
+    return _write_entries({
         "kind": doc.kind,
         "semifield": sf.name,
         "input_sha256": doc.input_sha256,
@@ -323,72 +325,57 @@ def serialize_solution(doc: SolutionDocument) -> str:
         "enumeration": {"visited": doc.enumeration_visited,
                         "pruned": doc.enumeration_pruned},
         "compact": doc.compact,
-    }
-    if doc.kind == KIND_SPAN_SOLUTION:
-        payload["generators"] = _matrix_to_json(doc.generators)
-        payload["extended"] = {
-            "lower": _vector_to_json(doc.extended_lower),
-            "upper": _vector_to_json(doc.extended_upper),
-            "generators": _matrix_to_json(doc.extended_generators),
-        }
-    else:
-        payload["span_generators"] = _matrix_to_json(doc.span_generators)
-        payload["x_generators"] = _matrix_to_json(doc.x_generators)
-        payload["y_generators"] = _matrix_to_json(doc.y_generators)
-        payload["coefficient_bound"] = _vector_to_json(doc.coefficient_bound)
-        payload["latest"] = {"x": _vector_to_json(doc.latest_x),
-                             "y": _vector_to_json(doc.latest_y)}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    }, doc.entries)
+
+
+def _solution(data) -> SolutionDocument:
+    kind, sf = _header(data, (KIND_SPAN_SOLUTION, KIND_SCHEDULE_SOLUTION))
+    return SolutionDocument(
+        kind=kind,
+        semifield=sf,
+        input_sha256=str(_field(data, "input_sha256", kind)),
+        delta=scalar_from_json(_field(data, "delta", kind), "delta", sf),
+        enumeration_visited=int(_field(data, "enumeration.visited", kind)),
+        enumeration_pruned=int(_field(data, "enumeration.pruned", kind)),
+        compact=bool(data.get("compact", False)),
+        entries=_read_entries(data, kind, sf),
+    )
 
 
 def parse_solution(text: str) -> SolutionDocument:
+    return _solution(_load_json(text))
+
+
+# -- candidates ---------------------------------------------------------------
+
+def parse_candidates(text: str, doc: ProblemDocument) -> tuple[str, object]:
+    """What verify checks against the problem doc, loaded from JSON once:
+    ("solution", a SolutionDocument), ("vectors", [x, ...]) for a span
+    problem, or ("pairs", [(x, y), ...]) for a schedule."""
     data = _load_json(text)
     if not isinstance(data, dict):
-        raise ParseError("top level must be an object")
+        raise ParseError("candidates: top level must be an object")
     kind = data.get("kind")
-    if kind not in (KIND_SPAN_SOLUTION, KIND_SCHEDULE_SOLUTION):
-        raise ParseError(f"kind must be {KIND_SPAN_SOLUTION!r} or "
-                         f"{KIND_SCHEDULE_SOLUTION!r}, got {kind!r}")
-    sf_name = data.get("semifield", MAX_PLUS.name)
-    if sf_name not in SEMIFIELDS:
-        raise ParseError(f"unknown semifield {sf_name!r}")
-    sf = SEMIFIELDS[sf_name]
-    try:
-        enumeration = data.get("enumeration", {})
-        common = dict(
-            kind=kind,
-            semifield=sf,
-            input_sha256=str(data["input_sha256"]),
-            delta=scalar_from_json(data["delta"], "delta", sf),
-            enumeration_visited=int(enumeration["visited"]),
-            enumeration_pruned=int(enumeration["pruned"]),
-            compact=bool(data.get("compact", False)),
-        )
-        if kind == KIND_SPAN_SOLUTION:
-            extended = data["extended"]
-            return SolutionDocument(
-                **common,
-                generators=_matrix_from_json(data["generators"], "generators", sf),
-                extended_lower=_vector_from_json(extended["lower"],
-                                                 "extended.lower", sf),
-                extended_upper=_vector_from_json(extended["upper"],
-                                                 "extended.upper", sf),
-                extended_generators=_matrix_from_json(extended["generators"],
-                                                      "extended.generators", sf),
-            )
-        latest = data["latest"]
-        return SolutionDocument(
-            **common,
-            span_generators=_matrix_from_json(data["span_generators"],
-                                              "span_generators", sf),
-            x_generators=_matrix_from_json(data["x_generators"],
-                                           "x_generators", sf),
-            y_generators=_matrix_from_json(data["y_generators"],
-                                           "y_generators", sf),
-            coefficient_bound=_vector_from_json(data["coefficient_bound"],
-                                                "coefficient_bound", sf),
-            latest_x=_vector_from_json(latest["x"], "latest.x", sf),
-            latest_y=_vector_from_json(latest["y"], "latest.y", sf),
-        )
-    except KeyError as exc:
-        raise ParseError(f"missing field {exc.args[0]!r}") from None
+    sf = doc.semifield
+    if kind in (KIND_SPAN_SOLUTION, KIND_SCHEDULE_SOLUTION):
+        return ("solution", _solution(data))
+    if kind != "candidates":
+        raise ParseError("candidates file must have kind 'candidates' or be "
+                         "a solution document")
+    if doc.kind == KIND_SPAN:
+        raw = data.get("vectors")
+        if not isinstance(raw, list) or not raw:
+            raise ParseError("candidates: expected a non-empty 'vectors' array")
+        vectors = [_vector_from_json(v, f"vectors[{i}]", sf)
+                   for i, v in enumerate(raw)]
+        return ("vectors", vectors)
+    raw = data.get("schedules")
+    if not isinstance(raw, list) or not raw:
+        raise ParseError("candidates: expected a non-empty 'schedules' array")
+    pairs = []
+    for i, item in enumerate(raw):
+        if not isinstance(item, dict) or "x" not in item or "y" not in item:
+            raise ParseError(f"schedules[{i}]: expected an object with x and y")
+        pairs.append((_vector_from_json(item["x"], f"schedules[{i}].x", sf),
+                      _vector_from_json(item["y"], f"schedules[{i}].y", sf)))
+    return ("pairs", pairs)

@@ -43,6 +43,26 @@ class ScheduleInstance:
 
     def __init__(self, A: TropMatrix, B: TropMatrix, C: TropMatrix,
                  f: TropVector):
+        self.check_data(A, B, C, f)
+        closed = B + (C @ A)
+        try:
+            self.closure = kleene_star(closed)
+        except SpectralConditionViolated as exc:
+            raise InfeasiblePrecedence(
+                f"cyclic precedence with positive total lag: {exc}") from None
+        self.n = A.rows
+        self.A = A
+        self.B = B
+        self.C = C
+        self.f = f
+        self.semifield = A.semifield
+        self.precedence = closed
+
+    @staticmethod
+    def check_data(A: TropMatrix, B: TropMatrix, C: TropMatrix,
+                   f: TropVector) -> None:
+        """Refuse data that is not a schedule: A, B, C square of one size n,
+        A regular and f finite.  Feasibility is the Kleene star's to decide."""
         n = A.rows
         for name, mat in (("A", A), ("B", B), ("C", C)):
             if mat.shape != (n, n):
@@ -53,24 +73,6 @@ class ScheduleInstance:
             raise NotRegularMatrix("A must be regular (no zero rows or columns)")
         if not f.is_regular():
             raise NotRegularVector("late finish times f must all be finite")
-        closed = B + (C @ A)
-        try:
-            self.closure = kleene_star(closed)
-        except SpectralConditionViolated as exc:
-            raise InfeasiblePrecedence(
-                f"cyclic precedence with positive total lag: {exc}") from None
-        self.n = n
-        self.A = A
-        self.B = B
-        self.C = C
-        self.f = f
-        self.semifield = A.semifield
-        self.precedence = closed
-
-
-def build_instance(A: TropMatrix, B: TropMatrix, C: TropMatrix,
-                   f: TropVector) -> ScheduleInstance:
-    return ScheduleInstance(A, B, C, f)
 
 
 @dataclass(frozen=True)
@@ -84,10 +86,8 @@ class ScheduleSolution:
     coeff_bound: TropVector
     span_generators: TropMatrix
     D: TropMatrix
-    closure: TropMatrix
     enumerated_count: int
     pruned_count: int
-    compacted: bool = False
 
     def __post_init__(self):
         if self.x_generators.cols != self.y_generators.cols:
@@ -132,7 +132,6 @@ def solve_schedule(inst: ScheduleInstance, *,
         coeff_bound=bound,
         span_generators=s0,
         D=prob.A,
-        closure=closure,
         enumerated_count=sol.enumerated_count,
         pruned_count=sol.pruned_count,
     )
@@ -239,11 +238,10 @@ def compact_generators(sol: ScheduleSolution) -> ScheduleSolution:
         merged_bound[slot] = sf.add(merged_bound[slot],
                                     sf.mul(kappa, sol.coeff_bound[j]))
     if len(reps) == len(x_cols):
-        return replace(sol, compacted=True)
+        return sol
     return replace(
         sol,
         x_generators=TropMatrix.from_columns(sf, [x_cols[r] for r in reps]),
         y_generators=TropMatrix.from_columns(sf, [y_cols[r] for r in reps]),
         coeff_bound=TropVector(sf, merged_bound),
-        compacted=True,
     )

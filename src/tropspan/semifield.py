@@ -95,9 +95,6 @@ class Semifield:
 
     # -- predicates ---------------------------------------------------------
 
-    def is_zero(self, a: Scalar) -> bool:
-        return a is ZERO
-
     def check_value(self, a: Scalar) -> Scalar:
         """Validate that a is ZERO or a finite value in this instance's domain."""
         if a is ZERO:

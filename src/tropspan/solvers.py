@@ -5,11 +5,12 @@ Two facts carry the whole package:
   * A x <= d with column-regular A and regular d has the greatest solution
     x_max = (d^- A)^-, and every x <= x_max solves it (solve_upper_bound).
   * A x <= x has regular solutions iff Tr(A) <= one, in which case they are
-    exactly {A* u : u regular} (solve_subinvariant).
+    exactly {A* u : u regular} (linalg.kleene_star).
 
 interval_to_generators converts the parametric box  alpha*g <= x <= alpha*h
 into the equivalent generator form x = (I (+) g h^-) u, which is how partial
-solutions get folded into a single column span.
+solutions get folded into a single column span; generator_columns builds
+the columns of I (+) g h^-, for it and for the per-selection spans.
 """
 
 from __future__ import annotations
@@ -24,14 +25,8 @@ from .errors import (
     ZeroColumn,
     ZeroVector,
 )
-from .linalg import (
-    TropMatrix,
-    TropVector,
-    kleene_star,
-    outer,
-    residuation_coefficients,
-)
-from .semifield import ZERO
+from .linalg import TropMatrix, TropVector, _trusted, residuation_coefficients
+from .semifield import Semifield
 
 
 @dataclass(frozen=True)
@@ -81,23 +76,25 @@ def solve_upper_bound(matrix: TropMatrix, d: TropVector) -> TropVector:
     return (d.conj() @ matrix).conj()
 
 
-def solve_subinvariant(matrix: TropMatrix) -> TropMatrix:
-    """Generator matrix A* for A x <= x; raises when Tr(A) > one."""
-    return kleene_star(matrix)
+def generator_columns(sf: Semifield, g, h_inv) -> list[tuple]:
+    """The columns of I (+) g h^- as tuples: column j is g h_j^-1 with one
+    added at row j.  g and h^- hold valid scalars, so the results need no check.
+    """
+    add, mul, one = sf.add, sf.mul, sf.one
+    out = []
+    for j, w in enumerate(h_inv):
+        col = [mul(gi, w) for gi in g]
+        col[j] = add(one, col[j])
+        out.append(tuple(col))
+    return out
 
 
 def interval_to_generators(interval: IntervalSet) -> GeneratorSet:
     """Generator form I (+) g h^- of the interval's solution set."""
     sf = interval.upper.semifield
-    span = TropMatrix.identity(sf, interval.upper.dim)
-    if not interval.lower.is_zero():
-        span = span + outer(interval.lower, interval.upper.conj())
-    return GeneratorSet(span)
-
-
-def greatest_coefficients(gens: GeneratorSet, x: TropVector) -> TropVector:
-    """Greatest v with S v <= x; equals (x^- S)^- whenever x is regular."""
-    return residuation_coefficients(gens.generators, x)
+    cols = generator_columns(sf, interval.lower.entries,
+                             interval.upper.conj().entries)
+    return GeneratorSet(_trusted(TropMatrix, sf, zip(*cols)))
 
 
 def membership(gens: GeneratorSet, x: TropVector) -> bool:
@@ -113,7 +110,7 @@ def membership(gens: GeneratorSet, x: TropVector) -> bool:
     if x.dim != gens.generators.rows:
         raise ShapeMismatch(f"vector dim {x.dim} vs generator rows "
                             f"{gens.generators.rows}")
-    v = greatest_coefficients(gens, x)
+    v = residuation_coefficients(gens.generators, x)
     if gens.coeff_upper_bound is not None:
         le = v.semifield.le
         v = TropVector(v.semifield, [a if le(a, b) else b for a, b in

@@ -4,7 +4,7 @@ The pipeline, for a row-regular A, nonzero p and regular q:
 
   1. The minimum value is Delta = (A q)^- p, attained at every x = alpha*q.
   2. Entries of A below the threshold Delta^-1 p_i q_j^-1 never decide the
-     objective; zeroing them (sparsify) changes nothing.
+     objective; zeroing them (SpanProblem.sparsified) changes nothing.
   3. Fixing one nonzero entry per row of the sparsified matrix gives a
      selection A1; each selection contributes the solution cone
      alpha*Delta^-1 A1^- p <= x <= alpha*q, i.e. the span of
@@ -39,7 +39,8 @@ from .errors import (
 )
 from .linalg import TropMatrix, TropVector, _trusted, extremal_rays, ray_key
 from .semifield import ZERO, Scalar
-from .solvers import GeneratorSet, IntervalSet, interval_to_generators
+from .solvers import (GeneratorSet, IntervalSet, generator_columns,
+                      interval_to_generators)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 
@@ -48,6 +49,14 @@ class SpanProblem:
     """Problem data (A, p, q) plus lazily cached Delta and sparsified matrix."""
 
     def __init__(self, A: TropMatrix, p: TropVector, q: TropVector):
+        self.check_data(A, p, q)
+        self.A, self.p, self.q = A, p, q
+        self.semifield = A.semifield
+
+    @staticmethod
+    def check_data(A: TropMatrix, p: TropVector, q: TropVector) -> None:
+        """Refuse data that is not a span problem: A row-regular, p nonzero,
+        q regular, shapes and semifield agreeing."""
         if A.semifield is not p.semifield or A.semifield is not q.semifield:
             raise ShapeMismatch("A, p, q must share one semifield")
         if p.dim != A.rows:
@@ -60,8 +69,6 @@ class SpanProblem:
             raise ZeroVector("p must be nonzero")
         if not q.is_regular():
             raise NotRegularVector("q must be regular")
-        self.A, self.p, self.q = A, p, q
-        self.semifield = A.semifield
 
     @cached_property
     def delta(self) -> Scalar:
@@ -70,6 +77,7 @@ class SpanProblem:
 
     @cached_property
     def sparsified(self) -> TropMatrix:
+        """Threshold matrix of the problem; solution-preserving by construction."""
         sf = self.semifield
         inv_delta = sf.inv(self.delta)
         inv_q = [sf.inv(v) for v in self.q]
@@ -82,15 +90,6 @@ class SpanProblem:
         sparse = _trusted(TropMatrix, sf, rows)
         assert sparse.is_row_regular()
         return sparse
-
-
-def minimum_value(prob: SpanProblem) -> Scalar:
-    return prob.delta
-
-
-def sparsify(prob: SpanProblem) -> TropMatrix:
-    """Threshold matrix of the problem; solution-preserving by construction."""
-    return prob.sparsified
 
 
 def objective(prob: SpanProblem, x: TropVector) -> Scalar:
@@ -270,7 +269,7 @@ def _s1_columns(prob: SpanProblem) -> Callable[[tuple[int, ...]], list[tuple]]:
     """
     sf, rows = prob.semifield, prob.sparsified.entries
     p, q = prob.p.entries, prob.q.entries
-    add, mul, le, one, ratio = sf.add, sf.mul, sf.le, sf.one, sf.ratio
+    add, mul, le, ratio = sf.add, sf.mul, sf.le, sf.ratio
     inv_delta, inv_q = sf.inv(prob.delta), [sf.inv(v) for v in q]
 
     def columns(chosen_col: tuple[int, ...]) -> list[tuple]:
@@ -281,12 +280,7 @@ def _s1_columns(prob: SpanProblem) -> Callable[[tuple[int, ...]], list[tuple]]:
         lower = [mul(inv_delta, l) for l in lower]
         if not all(le(l, u) for l, u in zip(lower, q)):
             raise ValidationError("interval lower bound exceeds the upper bound")
-        out = []
-        for j, w in enumerate(inv_q):
-            col = [mul(l, w) for l in lower]
-            col[j] = add(one, col[j])
-            out.append(tuple(col))
-        return out
+        return generator_columns(sf, lower, inv_q)
 
     return columns
 

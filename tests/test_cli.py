@@ -201,6 +201,25 @@ def test_verify_rejects_tampered_solution(tmp_path, capsys):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("problem, damage, missing", [
+    (SPAN, lambda doc: doc.update(extended=[1]),
+     "'extended.lower' for kind 'span-solution'"),
+    (SCHEDULE, lambda doc: doc["latest"].pop("y"),
+     "'latest.y' for kind 'schedule-solution'"),
+], ids=["span-extended-not-an-object", "schedule-latest-y-missing"])
+def test_verify_refuses_malformed_solution_document(tmp_path, capsys, problem,
+                                                    damage, missing):
+    _, out, _ = run(capsys, "solve", "--input", problem)
+    doc = json.loads(out)
+    damage(doc)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", problem,
+                         "--candidates", str(sol))
+    assert code == 2 and out == ""
+    assert err == f"error: missing field {missing}\n"
+
+
 def test_verify_span_candidates(tmp_path, capsys):
     cands = tmp_path / "cands.json"
     cands.write_text(json.dumps({"kind": "candidates",

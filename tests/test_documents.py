@@ -85,6 +85,25 @@ def test_validation_errors():
     with pytest.raises(ValidationError):
         parse_problem('{"kind": "span", "semifield": "min-plus", "A": [[1]], '
                       '"p": [0], "q": [0]}')
+    # the data checks of SpanProblem and ScheduleInstance, as ValidationError
+    schedule = ('{"kind": "schedule", "A": %s, "B": %s, '
+                '"C": [[0, 0], [0, 0]], "f": %s}')
+    for text in (
+            '{"kind": "span", "A": [[1, 1]], "p": [0, 0], "q": [0, 0]}',
+            '{"kind": "span", "A": [[1, 1]], "p": [0], "q": [0]}',
+            schedule % ("[[0, 0], [0, 0]]", "[[0, 0, 0]]", "[5, 5]"),
+            schedule % ("[[0, 0, 0], [0, 0, 0]]", "[[0, 0], [0, 0]]", "[5, 5]"),
+            schedule % ("[[0, 0], [0, 0]]", "[[0, 0], [0, 0]]", '[5, "-inf"]')):
+        with pytest.raises(ValidationError):
+            parse_problem(text)
+
+
+def test_unhashable_semifield_is_refused():
+    with pytest.raises(ParseError, match="unknown semifield"):
+        parse_problem('{"kind": "span", "semifield": [], "A": [[1]], '
+                      '"p": [0], "q": [0]}')
+    with pytest.raises(ParseError, match="unknown semifield"):
+        parse_solution('{"kind": "span-solution", "semifield": {}}')
 
 
 def test_problem_round_trip_is_identity():
@@ -107,10 +126,10 @@ def test_solution_round_trip():
         enumeration_visited=1,
         enumeration_pruned=1,
         compact=False,
-        generators=mat([[0, -1], [Z, 0]]),
-        extended_lower=vec([1, -1]),
-        extended_upper=vec([1, 2]),
-        extended_generators=mat([[0, -1], [-2, 0]]),
+        entries={"generators": mat([[0, -1], [Z, 0]]),
+                 "extended.lower": vec([1, -1]),
+                 "extended.upper": vec([1, 2]),
+                 "extended.generators": mat([[0, -1], [-2, 0]])},
     )
     text = serialize_solution(doc)
     assert parse_solution(text) == doc

@@ -15,9 +15,9 @@ from tropspan import (
     InfeasiblePrecedence,
     NotRegularMatrix,
     NotRegularVector,
+    ScheduleInstance,
     ShapeMismatch,
     TropMatrix,
-    build_instance,
     check_schedule,
     compact_generators,
     instantiate,
@@ -40,13 +40,13 @@ def test_build_instance_rejects_positive_self_lag():
     b = mat([[1, Z], [Z, Z]])
     c = TropMatrix.zeros(MAX_PLUS, 2, 2)
     with pytest.raises(InfeasiblePrecedence):
-        build_instance(a, b, c, vec([5, 5]))
+        ScheduleInstance(a, b, c, vec([5, 5]))
 
 
 def test_build_instance_accepts_uncoupled():
     a = mat([[0, -1], [-1, 0]])
     zeros = TropMatrix.zeros(MAX_PLUS, 2, 2)
-    inst = build_instance(a, zeros, zeros, vec([5, 5]))
+    inst = ScheduleInstance(a, zeros, zeros, vec([5, 5]))
     assert trace_closure(inst.precedence) is Z
 
 
@@ -54,13 +54,13 @@ def test_build_instance_validation():
     zeros3 = TropMatrix.zeros(MAX_PLUS, 3, 3)
     a = mat([[3, -1, Z], [-2, 2, 0], [-1, Z, 4]])
     with pytest.raises(NotRegularMatrix):
-        build_instance(mat([[1, Z], [2, Z]]), TropMatrix.zeros(MAX_PLUS, 2, 2),
-                       TropMatrix.zeros(MAX_PLUS, 2, 2), vec([1, 1]))
+        ScheduleInstance(mat([[1, Z], [2, Z]]), TropMatrix.zeros(MAX_PLUS, 2, 2),
+                         TropMatrix.zeros(MAX_PLUS, 2, 2), vec([1, 1]))
     with pytest.raises(NotRegularVector):
-        build_instance(a, zeros3, zeros3, vec([7, Z, 7]))
+        ScheduleInstance(a, zeros3, zeros3, vec([7, Z, 7]))
     with pytest.raises(ShapeMismatch):
-        build_instance(a, TropMatrix.zeros(MAX_PLUS, 2, 2), zeros3,
-                       vec([7, 7, 7]))
+        ScheduleInstance(a, TropMatrix.zeros(MAX_PLUS, 2, 2), zeros3,
+                         vec([7, 7, 7]))
 
 
 def test_reduced_span_problem():
@@ -89,8 +89,8 @@ def test_solve_schedule_golden():
 
 
 def test_solve_schedule_single_activity():
-    inst = build_instance(mat([[0]]), TropMatrix.zeros(MAX_PLUS, 1, 1),
-                          TropMatrix.zeros(MAX_PLUS, 1, 1), vec([5]))
+    inst = ScheduleInstance(mat([[0]]), TropMatrix.zeros(MAX_PLUS, 1, 1),
+                            TropMatrix.zeros(MAX_PLUS, 1, 1), vec([5]))
     sol = solve_schedule(inst)
     assert sol.delta == MAX_PLUS.one
     x, y = latest_schedule(sol)
@@ -157,7 +157,7 @@ def test_check_schedule():
 def test_check_schedule_unconstrained():
     eye = TropMatrix.identity(MAX_PLUS, 2)
     zeros = TropMatrix.zeros(MAX_PLUS, 2, 2)
-    inst = build_instance(eye, zeros, zeros, vec([100, 100]))
+    inst = ScheduleInstance(eye, zeros, zeros, vec([100, 100]))
     x = vec([4, -2])
     assert check_schedule(inst, x, x).ok
 

@@ -14,11 +14,11 @@ from tropspan import (
     SpectralConditionViolated,
     TropMatrix,
     ZeroVector,
-    greatest_coefficients,
     interval_to_generators,
+    kleene_star,
     membership,
     reduce_to_independent,
-    solve_subinvariant,
+    residuation_coefficients,
     solve_upper_bound,
 )
 
@@ -66,11 +66,11 @@ def test_solve_upper_bound_maximality():
 
 def test_solve_subinvariant():
     closed = mat([[Z, Z, -3], [3, -1, 1], [2, -2, Z]])
-    assert solve_subinvariant(closed) == mat([[0, -5, -3], [3, 0, 1], [2, -2, 0]])
+    assert kleene_star(closed) == mat([[0, -5, -3], [3, 0, 1], [2, -2, 0]])
     zeros = TropMatrix.zeros(MAX_PLUS, 2, 2)
-    assert solve_subinvariant(zeros) == TropMatrix.identity(MAX_PLUS, 2)
+    assert kleene_star(zeros) == TropMatrix.identity(MAX_PLUS, 2)
     with pytest.raises(SpectralConditionViolated):
-        solve_subinvariant(mat([[1]]))
+        kleene_star(mat([[1]]))
 
 
 def test_solve_subinvariant_soundness():
@@ -80,7 +80,7 @@ def test_solve_subinvariant_soundness():
         rows = [[rng.randint(-5, 0) if rng.random() > 0.4 else Z
                  for _ in range(n)] for _ in range(n)]
         a = mat(rows)
-        star = solve_subinvariant(a)
+        star = kleene_star(a)
         for _ in range(5):
             u = vec([rng.randint(-6, 6) for _ in range(n)])
             x = star @ u
@@ -175,7 +175,7 @@ def test_membership_respects_bound():
     assert membership(gens, vec([2, 3]))
     assert membership(gens, vec([1, -5]))
     assert not membership(gens, vec([3, 0]))
-    v = greatest_coefficients(gens, vec([1, -5]))
+    v = residuation_coefficients(gens.generators, vec([1, -5]))
     assert v == vec([1, -5])
 
 

@@ -35,10 +35,8 @@ from tropspan import (
     extended_solution,
     interval_to_generators,
     membership,
-    minimum_value,
     objective,
     selection_generators,
-    sparsify,
     verify_optimal,
 )
 from tropspan.linalg import ray_key, reduce_to_independent
@@ -57,25 +55,25 @@ def test_objective_golden():
 
 def test_minimum_value():
     prob = demo_span_problem()
-    assert minimum_value(prob) == 2
+    assert prob.delta == 2
     # reduced problem carried by the three-activity schedule
     d = mat([[3, -1, 0], [5, 2, 3], [6, 2, 4]])
     reduced = SpanProblem(d, vec([0, 0, 0]), vec([-6, -2, -4]))
-    assert minimum_value(reduced) == 3
+    assert reduced.delta == 3
     eye = TropMatrix.identity(MAX_PLUS, 3)
     trivial = SpanProblem(eye, vec([0, 0, 0]), vec([0, 0, 0]))
-    assert minimum_value(trivial) == MAX_PLUS.one
+    assert trivial.delta == MAX_PLUS.one
 
 
 def test_sparsify_golden():
     prob = demo_span_problem()
-    assert sparsify(prob) == mat([[2, Z], [4, 1]])
+    assert prob.sparsified == mat([[2, Z], [4, 1]])
     d = mat([[3, -1, 0], [5, 2, 3], [6, 2, 4]])
     reduced = SpanProblem(d, vec([0, 0, 0]), vec([-6, -2, -4]))
-    assert sparsify(reduced) == mat([[3, -1, Z], [5, 2, 3], [6, 2, 4]])
+    assert reduced.sparsified == mat([[3, -1, Z], [5, 2, 3], [6, 2, 4]])
     # already above every threshold: unchanged
     flat = SpanProblem(mat([[5, 5], [5, 5]]), vec([0, 0]), vec([0, 0]))
-    assert sparsify(flat) == flat.A
+    assert flat.sparsified == flat.A
 
 
 def test_sparsify_keeps_minimum():

@@ -13,6 +13,10 @@ Prints one sha256 per workload and seed, and one for the command line:
                            --exhaustive), plot, and verify of both solution
                            documents, on every file of tests/data and
                            benchmark/data
+  refusals                 exit code and stderr line count of solve and
+                           verify on invalid problem, candidate and solution
+                           texts built here; the stderr text is not hashed,
+                           so a refusal may be reworded
 
 Every scalar is hashed with its Python type, so an int and an equal Fraction
 differ.  The corpora come from benchmark/corpus.py, read and never written.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -51,6 +56,30 @@ OVERRUN_BUDGET = 3000
 CLI_DATA = ("tests/data", "benchmark/data")
 CLI_COMMANDS = (("solve",), ("solve", "--exhaustive"), ("solve", "--compact"),
                 ("enumerate",), ("enumerate", "--exhaustive"), ("plot",))
+SCHEDULE = '{"kind": "schedule", "A": %s, "B": %s, "C": [[0, 0], [0, 0]], "f": %s}'
+REFUSED_PROBLEMS = (
+    "",
+    "[1, 2]",
+    '{"kind": "span", "semifield": [], "A": [[1]], "p": [0], "q": [0]}',
+    '{"kind": "span", "A": [[1, 1]], "p": [0, 0], "q": [0, 0]}',
+    '{"kind": "span", "A": [["-inf", "-inf"], [1, 1]], "p": [0, 0], "q": [0, 0]}',
+    SCHEDULE % ("[[0, 0], [0, 0]]", "[[0, 0, 0]]", "[5, 5]"),
+    SCHEDULE % ("[[0, 0, 0], [0, 0, 0]]", "[[0, 0], [0, 0]]", "[5, 5]"),
+    SCHEDULE % ("[[0, 0], [0, 0]]", "[[0, 0], [0, 0]]", '[5, "-inf"]'),
+    SCHEDULE % ("[[0, 0], [0, 0]]", '[[1, "-inf"], ["-inf", "-inf"]]', "[5, 5]"),
+)
+REFUSED_CANDIDATES = (
+    ("span", '{"kind": "candidates", "vectors": []}'),
+    ("span", '{"kind": "candidates", "vectors": [[1]]}'),
+    ("schedule", '{"kind": "candidates"}'),
+)
+# (problem kind, damage done to the solution document solve writes for it)
+BROKEN_SOLUTIONS = (
+    ("span", lambda doc: doc.update(extended=[1])),
+    ("span", lambda doc: doc.pop("enumeration")),
+    ("span", lambda doc: doc.update(semifield=[])),
+    ("schedule", lambda doc: doc["latest"].pop("y")),
+)
 
 
 def typed(value) -> str:
@@ -113,6 +142,43 @@ def cli_lines():
                            f"{done.stdout}\n{done.stderr}")
 
 
+def refusal_lines():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        def cli(*args):
+            return subprocess.run([sys.executable, "-m", "tropspan", *args],
+                                  cwd=work, env=env, capture_output=True,
+                                  text=True)
+
+        def write(name, text):
+            (Path(work) / name).write_text(text, encoding="utf-8")
+            return name
+
+        solved = {}
+        for kind in ("span", "schedule"):
+            shutil.copyfile(ROOT / "tests/data" / f"{kind}_demo.json",
+                            Path(work) / f"{kind}.json")
+            solved[kind] = cli("solve", "--input", f"{kind}.json").stdout
+        vectors = write("vectors.json", '{"kind": "candidates", "vectors": [[1, 2]]}')
+        runs = []
+        for i, text in enumerate(REFUSED_PROBLEMS):
+            name = write(f"problem{i}.json", text)
+            runs += [("solve", "--input", name),
+                     ("verify", "--input", name, "--candidates", vectors)]
+        cases = list(REFUSED_CANDIDATES)
+        for kind, damage in BROKEN_SOLUTIONS:
+            doc = json.loads(solved[kind])
+            damage(doc)
+            cases.append((kind, json.dumps(doc)))
+        for i, (kind, text) in enumerate(cases):
+            runs.append(("verify", "--input", f"{kind}.json", "--candidates",
+                         write(f"candidates{i}.json", text)))
+        for args in runs:
+            done = cli(*args)
+            lines = done.stderr.count("\n")
+            yield f"{' '.join(args)}\nexit {done.returncode}\nstderr lines {lines}"
+
+
 def digest(lines) -> str:
     h = hashlib.sha256()
     for line in lines:
@@ -132,6 +198,9 @@ def main(argv=None) -> int:
             texts, _ = make(seed)
             print(f"{name} seed {seed} {digest(lines(texts))}", flush=True)
     print(f"cli {' '.join(CLI_DATA)} {digest(cli_lines())}", flush=True)
+    print(f"refusals {len(REFUSED_PROBLEMS)} problems, {len(REFUSED_CANDIDATES)} "
+          f"candidates, {len(BROKEN_SOLUTIONS)} solutions "
+          f"{digest(refusal_lines())}", flush=True)
     return 0
 
 
