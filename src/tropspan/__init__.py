@@ -11,7 +11,6 @@ from .errors import (
     AllZeroMatrix,
     CoefficientOutOfBound,
     EnumerationBudgetExceeded,
-    InfeasibleDeadline,
     InfeasiblePrecedence,
     InversionOfZero,
     NotColumnRegular,

@@ -6,7 +6,8 @@
     tropspan plot      --input problem.json --output picture.svg
 
 Exit codes: 0 success, 1 verification found failures, 2 parse or validation
-problems, 3 infeasible instance, 4 enumeration budget exceeded.
+problems, 3 cyclic precedence with positive lag, 4 enumeration budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -18,20 +19,22 @@ import sys
 from . import documents as docs
 from .errors import (
     EnumerationBudgetExceeded,
-    InfeasibleDeadline,
     InfeasiblePrecedence,
     TropicalError,
+    ValidationError,
 )
 from .plotting import render_span_svg
 from .scheduling import (
     check_schedule,
     compact_generators,
     latest_schedule,
+    reduced_span_problem,
     solve_schedule,
 )
 from .solvers import GeneratorSet, membership
 from .spanopt import (
     DEFAULT_ENUMERATION_BUDGET,
+    SpanProblem,
     attains_minimum,
     complete_solution,
     enumerate_selections,
@@ -66,71 +69,59 @@ def _write(path: str, text: str) -> None:
 
 # -- solve --------------------------------------------------------------------
 
-def _solve_span_document(doc, digest, *, budget, prune, compact):
-    prob = doc.to_span_problem()
-    sol = complete_solution(prob, budget=budget, prune=prune)
-    interval = extended_interval(prob)
-    extended = extended_solution(prob)
-    return docs.SolutionDocument(
-        kind=docs.KIND_SPAN_SOLUTION,
-        semifield=prob.semifield,
-        input_sha256=digest,
-        delta=sol.delta,
-        enumeration_visited=sol.enumerated_count,
-        enumeration_pruned=sol.pruned_count,
-        compact=compact,
-        entries={"generators": sol.generators.generators,
-                 "extended.lower": interval.lower,
-                 "extended.upper": interval.upper,
-                 "extended.generators": extended.generators},
-    )
-
-
-def _solve_schedule_document(doc, digest, *, budget, prune, compact):
-    inst = doc.to_schedule_instance()
-    sol = solve_schedule(inst, budget=budget, prune=prune)
-    if compact:
-        sol = compact_generators(sol)
-    x_latest, y_latest = latest_schedule(sol)
-    return docs.SolutionDocument(
-        kind=docs.KIND_SCHEDULE_SOLUTION,
-        semifield=inst.semifield,
-        input_sha256=digest,
-        delta=sol.delta,
-        enumeration_visited=sol.enumerated_count,
-        enumeration_pruned=sol.pruned_count,
-        compact=compact,
-        entries={"span_generators": sol.span_generators,
-                 "x_generators": sol.x_generators,
-                 "y_generators": sol.y_generators,
-                 "coefficient_bound": sol.coeff_bound,
-                 "latest.x": x_latest,
-                 "latest.y": y_latest},
-    )
-
-
-def _solve_document(text: str, *, budget, prune, compact) -> docs.SolutionDocument:
-    doc = docs.parse_problem(text)
-    digest = docs.input_digest(text)
+def _problem(doc):
+    """The SpanProblem or ScheduleInstance of a problem document."""
     if doc.kind == docs.KIND_SPAN:
-        return _solve_span_document(doc, digest, budget=budget, prune=prune,
-                                    compact=compact)
-    return _solve_schedule_document(doc, digest, budget=budget, prune=prune,
-                                    compact=compact)
+        return doc.to_span_problem()
+    return doc.to_schedule_instance()
+
+
+def _solution_document(problem, digest, *, budget, prune, compact):
+    if isinstance(problem, SpanProblem):
+        sol = complete_solution(problem, budget=budget, prune=prune)
+        interval = extended_interval(problem)
+        kind = docs.KIND_SPAN_SOLUTION
+        entries = {"generators": sol.generators.generators,
+                   "extended.lower": interval.lower,
+                   "extended.upper": interval.upper,
+                   "extended.generators": extended_solution(problem).generators}
+    else:
+        sol = solve_schedule(problem, budget=budget, prune=prune)
+        if compact:
+            sol = compact_generators(sol)
+        x_latest, y_latest = latest_schedule(sol)
+        kind = docs.KIND_SCHEDULE_SOLUTION
+        entries = {"span_generators": sol.span_generators,
+                   "x_generators": sol.x_generators,
+                   "y_generators": sol.y_generators,
+                   "coefficient_bound": sol.coeff_bound,
+                   "latest.x": x_latest,
+                   "latest.y": y_latest}
+    return docs.SolutionDocument(
+        kind=kind,
+        semifield=problem.semifield,
+        input_sha256=digest,
+        delta=sol.delta,
+        enumeration_visited=sol.enumerated_count,
+        enumeration_pruned=sol.pruned_count,
+        compact=compact,
+        entries=entries,
+    )
 
 
 def cmd_solve(args) -> int:
     text = _read(args.input)
-    solution = _solve_document(text, budget=args.budget,
-                               prune=not args.exhaustive, compact=args.compact)
+    problem = _problem(docs.parse_problem(text))
+    solution = _solution_document(problem, docs.input_digest(text),
+                                  budget=args.budget, prune=not args.exhaustive,
+                                  compact=args.compact)
     _write(args.output, docs.serialize_solution(solution))
     return EXIT_OK
 
 
 # -- verify -------------------------------------------------------------------
 
-def _verify_span_vectors(doc, vectors) -> tuple[list[str], bool]:
-    prob = doc.to_span_problem()
+def _verify_span_vectors(prob, vectors) -> tuple[list[str], bool]:
     fmt = prob.semifield.format_scalar
     lines = [f"delta: {fmt(prob.delta)}"]
     all_ok = True
@@ -147,70 +138,69 @@ def _verify_span_vectors(doc, vectors) -> tuple[list[str], bool]:
     return lines, all_ok
 
 
-def _verify_schedule_pairs(doc, pairs) -> tuple[list[str], bool]:
-    inst = doc.to_schedule_instance()
-    sol = solve_schedule(inst)
+def _verify_schedule_pairs(inst, pairs) -> tuple[list[str], bool]:
+    delta = reduced_span_problem(inst).delta
     fmt = inst.semifield.format_scalar
-    lines = [f"delta: {fmt(sol.delta)}"]
+    lines = [f"delta: {fmt(delta)}"]
     all_ok = True
     for i, (x, y) in enumerate(pairs, start=1):
         report = check_schedule(inst, x, y)
-        ok = report.ok and report.span == sol.delta
+        ok = report.ok and report.span == delta
         all_ok &= ok
         line = (f"schedule {i}: {'PASS' if ok else 'FAIL'} "
-                f"span={fmt(report.span)} delta={fmt(sol.delta)}")
+                f"span={fmt(report.span)} delta={fmt(delta)}")
         if not report.ok:
             line += " violations: " + "; ".join(report.failures())
         lines.append(line)
     return lines, all_ok
 
 
-def _verify_solution_document(problem_text, doc, given) -> tuple[list[str], bool]:
-    digest = docs.input_digest(problem_text)
-    lines = []
-    checks = []
-
-    checks.append(("input hash", given.input_sha256 == digest))
+def _verify_solution_document(doc, problem, digest, given, *,
+                              budget) -> tuple[list[str], bool]:
+    span = given.kind == docs.KIND_SPAN_SOLUTION
+    kind = docs.KIND_SPAN if span else docs.KIND_SCHEDULE
+    # checked once the problem is built, which refuses an infeasible one first
+    if doc.kind != kind:
+        raise ValidationError(f"expected a {kind} problem, got {doc.kind}")
     # a document that records no pruned selection may come from either walk;
     # both emit the same selections then, so the exhaustive one reproduces it
-    expected = _solve_document(problem_text, budget=DEFAULT_ENUMERATION_BUDGET,
-                               prune=given.enumeration_pruned > 0,
-                               compact=given.compact)
-    checks.append(("recomputation",
-                   docs.serialize_solution(expected)
-                   == docs.serialize_solution(given)))
-    if given.kind == docs.KIND_SPAN_SOLUTION:
-        prob = doc.to_span_problem()
-        checks.append(("delta", given.delta == prob.delta))
+    expected = _solution_document(problem, digest, budget=budget,
+                                  prune=given.enumeration_pruned > 0,
+                                  compact=given.compact)
+    checks = [("input hash", given.input_sha256 == digest),
+              ("recomputation", docs.serialize_solution(expected)
+               == docs.serialize_solution(given))]
+    if span:
         generators = given.entries["generators"]
-        checks.append(("generator columns attain delta",
-                       all(attains_minimum(prob, c) for c in generators.columns())))
-        checks.append(("q lies in the generator span",
-                       membership(GeneratorSet(generators), prob.q)))
+        checks += [
+            ("delta", given.delta == problem.delta),
+            ("generator columns attain delta",
+             all(attains_minimum(problem, c) for c in generators.columns())),
+            ("q lies in the generator span",
+             membership(GeneratorSet(generators), problem.q))]
     else:
-        inst = doc.to_schedule_instance()
-        report = check_schedule(inst, given.entries["latest.x"],
+        report = check_schedule(problem, given.entries["latest.x"],
                                 given.entries["latest.y"])
-        checks.append(("latest schedule feasible", report.ok))
-        checks.append(("latest schedule attains delta",
-                       report.span == given.delta))
-    all_ok = True
-    for name, ok in checks:
-        all_ok &= ok
-        lines.append(f"{name}: {'OK' if ok else 'MISMATCH'}")
-    return lines, all_ok
+        checks += [("latest schedule feasible", report.ok),
+                   ("latest schedule attains delta", report.span == given.delta)]
+    lines = [f"{name}: {'OK' if ok else 'MISMATCH'}" for name, ok in checks]
+    return lines, all(ok for _, ok in checks)
 
 
 def cmd_verify(args) -> int:
-    problem_text = _read(args.input)
-    doc = docs.parse_problem(problem_text)
+    text = _read(args.input)
+    doc = docs.parse_problem(text)
+    # candidates are read before the problem is built, so a malformed
+    # candidates file is refused (exit 2) even for an infeasible schedule
     shape, payload = docs.parse_candidates(_read(args.candidates), doc)
+    problem = _problem(doc)
     if shape == "solution":
-        lines, ok = _verify_solution_document(problem_text, doc, payload)
+        lines, ok = _verify_solution_document(doc, problem, docs.input_digest(text),
+                                              payload, budget=args.budget)
     elif shape == "vectors":
-        lines, ok = _verify_span_vectors(doc, payload)
+        lines, ok = _verify_span_vectors(problem, payload)
     else:
-        lines, ok = _verify_schedule_pairs(doc, payload)
+        lines, ok = _verify_schedule_pairs(problem, payload)
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     _write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
@@ -285,39 +275,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "scheduling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text, *, exhaustive=False):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", default="-", metavar="PATH",
                        help="problem file, or - for stdin (default)")
         p.add_argument("--output", default="-", metavar="PATH",
                        help="where to write the result, - for stdout (default)")
         p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
                        metavar="N", help="cap on enumerated selections")
-        p.add_argument("--exhaustive", action="store_true",
-                       help="disable enumeration pruning (for comparison)")
-        p.add_argument("--compact", action="store_true",
-                       help="merge collinear generator columns in the output")
+        if exhaustive:
+            p.add_argument("--exhaustive", action="store_true",
+                           help="disable enumeration pruning (for comparison)")
+        p.set_defaults(func=func)
+        return p
 
-    p_solve = sub.add_parser("solve", help="compute the complete solution")
-    common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve = command("solve", cmd_solve, "compute the complete solution",
+                      exhaustive=True)
+    p_solve.add_argument("--compact", action="store_true",
+                         help="merge collinear generator columns of a "
+                              "schedule; only recorded for a span problem")
 
-    p_verify = sub.add_parser("verify", help="check candidate vectors or a "
+    p_verify = command("verify", cmd_verify, "check candidate vectors or a "
                                              "solution document")
-    common(p_verify)
     p_verify.add_argument("--candidates", required=True, metavar="PATH",
                           help="candidates file or solution document, - for stdin")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_enum = sub.add_parser("enumerate", help="list row selections and their "
-                                              "generators")
-    common(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate)
+    command("enumerate", cmd_enumerate, "list row selections and their "
+                                        "generators", exhaustive=True)
 
-    p_plot = sub.add_parser("plot", help="render a 2-D solution set as SVG")
-    common(p_plot)
+    p_plot = command("plot", cmd_plot, "render a 2-D solution set as SVG")
     p_plot.add_argument("--window", type=float, nargs=2, default=(-10.0, 10.0),
                         metavar=("LO", "HI"), help="square viewing window")
-    p_plot.set_defaults(func=cmd_plot)
     return parser
 
 
@@ -338,7 +326,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasiblePrecedence, InfeasibleDeadline) as exc:
+    except InfeasiblePrecedence as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except EnumerationBudgetExceeded as exc:

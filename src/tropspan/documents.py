@@ -330,14 +330,24 @@ def serialize_solution(doc: SolutionDocument) -> str:
 
 def _solution(data) -> SolutionDocument:
     kind, sf = _header(data, (KIND_SPAN_SOLUTION, KIND_SCHEDULE_SOLUTION))
+
+    def header(path, valid, expected):
+        value = _field(data, path, kind)
+        if not valid(value):
+            raise ParseError(f"{path}: expected {expected}")
+        return value
+
+    count = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
     return SolutionDocument(
         kind=kind,
         semifield=sf,
-        input_sha256=str(_field(data, "input_sha256", kind)),
+        input_sha256=header("input_sha256", lambda v: isinstance(v, str),
+                            "a string"),
         delta=scalar_from_json(_field(data, "delta", kind), "delta", sf),
-        enumeration_visited=int(_field(data, "enumeration.visited", kind)),
-        enumeration_pruned=int(_field(data, "enumeration.pruned", kind)),
-        compact=bool(data.get("compact", False)),
+        enumeration_visited=header("enumeration.visited", *count),
+        enumeration_pruned=header("enumeration.pruned", *count),
+        compact="compact" in data and header(
+            "compact", lambda v: isinstance(v, bool), "true or false"),
         entries=_read_entries(data, kind, sf),
     )
 

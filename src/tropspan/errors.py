@@ -55,10 +55,6 @@ class InfeasiblePrecedence(TropicalError):
     """Cyclic precedence constraints with positive total lag; no schedule exists."""
 
 
-class InfeasibleDeadline(TropicalError):
-    """Deadline constraints admit no regular coefficient vector."""
-
-
 class CoefficientOutOfBound(TropicalError):
     """Supplied coefficient vector exceeds the admissible upper bound."""
 

@@ -16,7 +16,10 @@ at most the identity.  ScheduleInstance builds that star once, by Kleene's
 elimination in O(n^3), which refuses as soon as a pivot closes a cycle of
 positive total lag; with D = A (B (+) C A)* the remaining problem is a span
 problem over D whose complete solution S0, cut back by the deadline bound
-v <= (f^- D S0)^-, parametrizes every optimal schedule.
+v <= (f^- D S0)^-, parametrizes every optimal schedule.  That bound is always
+regular: f is finite, and D S0 has no zero column because A is regular and
+the star's diagonal is at least one.  So deadlines never make a schedule
+infeasible; they only shift the latest one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     CoefficientOutOfBound,
-    InfeasibleDeadline,
     InfeasiblePrecedence,
     NotRegularMatrix,
     NotRegularVector,
@@ -122,14 +124,11 @@ def solve_schedule(inst: ScheduleInstance, *,
     s0 = sol.generators.generators
     x_gens = closure @ s0
     y_gens = prob.A @ s0
-    bound = solve_upper_bound(y_gens, inst.f)
-    if not bound.is_regular():
-        raise InfeasibleDeadline("no regular coefficient vector meets the deadlines")
     return ScheduleSolution(
         delta=sol.delta,
         x_generators=x_gens,
         y_generators=y_gens,
-        coeff_bound=bound,
+        coeff_bound=solve_upper_bound(y_gens, inst.f),
         span_generators=s0,
         D=prob.A,
         enumerated_count=sol.enumerated_count,
@@ -150,8 +149,6 @@ def instantiate(sol: ScheduleSolution, v: TropVector) -> tuple[TropVector, TropV
 
 def latest_schedule(sol: ScheduleSolution) -> tuple[TropVector, TropVector]:
     """Componentwise-latest optimal schedule, at v = coeff_bound."""
-    if not sol.coeff_bound.is_regular():
-        raise InfeasibleDeadline("deadline bound admits no regular coefficients")
     return instantiate(sol, sol.coeff_bound)
 
 

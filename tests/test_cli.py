@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tropspan import cli
+from tropspan import cli, scheduling
 from tropspan.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -157,6 +157,22 @@ def test_budget_below_one_is_refused(capsys):
         assert "--budget must be at least 1" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--exhaustive"), ("verify", "--compact"),
+    ("enumerate", "--compact"), ("plot", "--exhaustive"), ("plot", "--compact"),
+])
+def test_command_refuses_options_it_does_not_read(tmp_path, capsys, command,
+                                                  flag):
+    out_path = tmp_path / "out"
+    needed = ("--candidates", SPAN) if command == "verify" else ()
+    code, err = refused(capsys, command, "--input", SPAN, *needed,
+                        "--output", str(out_path), flag)
+    assert code == 2 and not out_path.exists()
+    # argparse prints its usage, then the one error line
+    assert err.count("error:") == 1
+    assert err.endswith(f"tropspan: error: unrecognized arguments: {flag}\n")
+
+
 def test_plot_window_must_be_finite_and_increasing(tmp_path, capsys):
     for window in (("5", "-5"), ("3", "3"), ("nan", "1"), ("0", "inf")):
         code, err = refused(capsys, "plot", "--input", SPAN, "--output",
@@ -187,6 +203,34 @@ def test_verify_accepts_exhaustive_solution_document(tmp_path, capsys):
                                "--candidates", str(sol))
             assert code == 0, (problem, flags, out)
             assert "recomputation: OK" in out
+
+
+def test_verify_budget_caps_the_recomputation(tmp_path, capsys):
+    _, out, _ = run(capsys, "solve", "--input", SCHEDULE)
+    assert json.loads(out)["enumeration"]["visited"] == 2
+    sol = tmp_path / "sol.json"
+    sol.write_text(out)
+    code, out, err = run(capsys, "verify", "--input", SCHEDULE,
+                         "--candidates", str(sol), "--budget", "1")
+    assert code == 4 and out == ""
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "verify", "--input", SCHEDULE,
+                       "--candidates", str(sol), "--budget", "2")
+    assert code == 0 and "result: PASS" in out
+
+
+def test_verify_builds_the_schedule_once(tmp_path, capsys, monkeypatch):
+    _, out, _ = run(capsys, "solve", "--input", SCHEDULE)
+    sol = tmp_path / "sol.json"
+    sol.write_text(out)
+    stars = []
+    star = scheduling.kleene_star
+    monkeypatch.setattr(scheduling, "kleene_star",
+                        lambda m: stars.append(m) or star(m))
+    code, out, _ = run(capsys, "verify", "--input", SCHEDULE,
+                       "--candidates", str(sol))
+    assert code == 0 and "result: PASS" in out
+    assert len(stars) == 1
 
 
 def test_verify_rejects_tampered_solution(tmp_path, capsys):
@@ -220,6 +264,61 @@ def test_verify_refuses_malformed_solution_document(tmp_path, capsys, problem,
     assert err == f"error: missing field {missing}\n"
 
 
+@pytest.mark.parametrize("path, value, expected", [
+    ("enumeration.visited", "abc", "a non-negative integer"),
+    ("enumeration.visited", [1], "a non-negative integer"),
+    ("enumeration.visited", 2.5, "a non-negative integer"),
+    ("enumeration.visited", -3, "a non-negative integer"),
+    ("enumeration.visited", True, "a non-negative integer"),
+    ("enumeration.pruned", None, "a non-negative integer"),
+    ("compact", "no", "true or false"),
+    ("input_sha256", 7, "a string"),
+])
+def test_verify_refuses_mistyped_solution_header(tmp_path, capsys, path,
+                                                 value, expected):
+    _, out, _ = run(capsys, "solve", "--input", SPAN)
+    doc = json.loads(out)
+    *parents, name = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[name] = value
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", SPAN,
+                         "--candidates", str(sol))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: expected {expected}\n"
+
+
+def test_verify_refusal_order(tmp_path, capsys):
+    # candidates are read before the problem is built, and the problem is
+    # built before a solution document of the other kind is refused
+    infeasible = tmp_path / "cyclic.json"
+    infeasible.write_text(json.dumps({
+        "kind": "schedule", "A": [[0, 0], [0, 0]],
+        "B": [[1, "-inf"], ["-inf", "-inf"]],
+        "C": [["-inf", "-inf"], ["-inf", "-inf"]], "f": [5, 5]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"kind": "candidates"}')
+    solved = {}
+    for name, problem in (("span", SPAN), ("schedule", SCHEDULE)):
+        solved[name] = tmp_path / f"{name}.json"
+        solved[name].write_text(run(capsys, "solve", "--input", problem)[1])
+    for problem, candidates, code, err in (
+            (infeasible, bad, 2, "error: candidates: expected a non-empty "
+                                 "'schedules' array\n"),
+            (infeasible, solved["span"], 3, "infeasible: "),
+            (SCHEDULE, solved["span"], 2,
+             "error: expected a span problem, got schedule\n"),
+            (SPAN, solved["schedule"], 2,
+             "error: expected a schedule problem, got span\n")):
+        got = run(capsys, "verify", "--input", str(problem),
+                  "--candidates", str(candidates))
+        assert got[:2] == (code, "")
+        assert got[2].startswith(err) and got[2].count("\n") == 1
+
+
 def test_verify_span_candidates(tmp_path, capsys):
     cands = tmp_path / "cands.json"
     cands.write_text(json.dumps({"kind": "candidates",
@@ -244,6 +343,21 @@ def test_verify_schedule_candidates(tmp_path, capsys):
     assert "schedule 1: PASS span=3 delta=3" in out
     assert "schedule 2: FAIL" in out
     assert "start-finish row 1" in out
+
+
+def test_verify_schedule_pairs_needs_no_solve(tmp_path, capsys, monkeypatch):
+    # Delta of the reduced span problem is all a pair is checked against
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify of schedule pairs solved the schedule")
+
+    monkeypatch.setattr(scheduling, "complete_solution", refuse)
+    cands = tmp_path / "cands.json"
+    cands.write_text(json.dumps({"kind": "candidates",
+                                 "schedules": [{"x": [1, 5, 3], "y": [4, 7, 7]}]}))
+    code, out, err = run(capsys, "verify", "--input", SCHEDULE,
+                         "--candidates", str(cands))
+    assert code == 0, err
+    assert out == "delta: 3\nschedule 1: PASS span=3 delta=3\nresult: PASS\n"
 
 
 def test_enumerate_default(capsys):

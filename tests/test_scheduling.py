@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -227,6 +228,22 @@ def test_random_instances_round_trip():
             report = check_schedule(inst, x, y)
             assert report.ok
             assert report.span == sol.delta
+
+
+def test_deadlines_always_admit_a_latest_schedule():
+    # the bound (f^- D S0)^- is regular for any finite f, however early
+    rng = random.Random(83)
+    for _ in range(100):
+        inst = random_schedule_instance(rng, rng.randint(1, 4),
+                                        f_lo=-10 ** 6, f_hi=10)
+        sol = solve_schedule(inst)
+        assert sol.coeff_bound.is_regular()
+        x, y = latest_schedule(sol)
+        report = check_schedule(inst, x, y)
+        assert report.ok and report.span == sol.delta
+    broken = replace(sol, coeff_bound=vec([Z] * sol.coeff_bound.dim))
+    with pytest.raises(NotRegularVector):
+        latest_schedule(broken)
 
 
 def test_latest_schedule_is_maximal():

@@ -10,9 +10,11 @@ Prints one sha256 per workload and seed, and one for the command line:
   schedule-jit             solve_schedule and latest_schedule
   cli                      stdout, stderr and exit code of solve (plain,
                            --exhaustive, --compact), enumerate (plain,
-                           --exhaustive), plot, and verify of both solution
-                           documents, on every file of tests/data and
-                           benchmark/data
+                           --exhaustive), plot, verify of both solution
+                           documents, and verify of a candidates file built
+                           from the plain one (q and each generator column,
+                           or the latest schedule), on every file of
+                           tests/data and benchmark/data
   refusals                 exit code and stderr line count of solve and
                            verify on invalid problem, candidate and solution
                            texts built here; the stderr text is not hashed,
@@ -119,6 +121,18 @@ def schedule_lines(texts):
                      sol.pruned_count, x.entries, y.entries))
 
 
+def candidates(problem: str, solution: str) -> str:
+    """A candidates file of what solve found: q and the generator columns of
+    a span problem, or the latest schedule of a schedule."""
+    sol = json.loads(solution)
+    if sol["kind"] == "span-solution":
+        columns = [list(c) for c in zip(*sol["generators"])]
+        found = {"vectors": [json.loads(problem)["q"], *columns]}
+    else:
+        found = {"schedules": [sol["latest"]]}
+    return json.dumps({"kind": "candidates", **found})
+
+
 def cli_lines():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as work:
@@ -134,6 +148,12 @@ def cli_lines():
                                    cwd=work, env=env, capture_output=True)
                     runs.append(("verify", "--input", name,
                                  "--candidates", out))
+                (Path(work) / "candidates.json").write_text(
+                    candidates(path.read_text(encoding="utf-8"),
+                               (Path(work) / "plain.json").read_text(
+                                   encoding="utf-8")), encoding="utf-8")
+                runs.append(("verify", "--input", name,
+                             "--candidates", "candidates.json"))
                 for args in runs:
                     done = subprocess.run(
                         [sys.executable, "-m", "tropspan", *args], cwd=work,
