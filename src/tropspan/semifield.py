@@ -24,9 +24,9 @@ check_value validates a scalar from outside: the parser and the public
 TropVector and TropMatrix constructors call it.  The operations keep valid
 scalars valid, and mul and inv return integral values as int, so results
 computed from valid scalars need no second check.  Each instance also binds
-two compare-only kernels on finite values, ratio (v (x) u^-1) and order_min
-(the least of several values in the semifield order); their results are
-compared, never stored.
+three compare-only kernels on finite values: ratio (v (x) u^-1), order_le
+(the semifield order) and order_min (the least of several values in that
+order); a ratio is compared or multiplied, never stored as a scalar.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class Semifield:
     """
 
     __slots__ = ("name", "one", "zero_token", "_reversed", "_multiplicative",
-                 "ratio", "order_min")
+                 "ratio", "order_le", "order_min")
 
     def __init__(self, name: str, one, *, reversed_order: bool, multiplicative: bool,
                  zero_token: str):
@@ -88,6 +88,7 @@ class Semifield:
         self._multiplicative = multiplicative
         # Fraction(v, u) is the exact v / u, and may be an integral Fraction
         self.ratio = Fraction if multiplicative else operator.sub
+        self.order_le = operator.ge if reversed_order else operator.le
         self.order_min = max if reversed_order else min
 
     def __repr__(self):

@@ -8,18 +8,20 @@ The pipeline, for a row-regular A, nonzero p and regular q:
   3. Fixing one nonzero entry per row of the sparsified matrix gives a
      selection A1; each selection contributes the solution cone
      alpha*Delta^-1 A1^- p <= x <= alpha*q, i.e. the span of
-     S1 = I (+) Delta^-1 A1^- p q^-.
+     S1 = I (+) Delta^-1 A1^- p q^-.  Entry j of A1^- p sums the terms
+     t_ij = p_i a_ij^-1 of the rows i that chose column j.
   4. The union over all selections is the full solution set; a backtracking
      enumeration with a dominance rule skips selections whose cones are
      contained in ones already produced.  Choosing column j in row i forces
-     later rows to column j, so the walk's state is one forced column per row.
-     A forced row needs no scan of its own: every row it could force was
-     forced, or found forced, by the scan that forced it.
-  5. Concatenating all S1 columns and dropping dependent ones yields a single
-     generator matrix S0 whose span is exactly the solution set.  A column
-     is dependent unless it is extremal, which the criterion of Butkovic,
-     Schneider & Sergeev (LAA 421, 2007) decides by scalar comparisons with
-     the other columns; S0 keeps the first column of each extremal ray.
+     each later row k with t_kj <= t_ij to column j, so the walk's state is
+     one forced column per row.  A forced row needs no scan of its own, and
+     its term no place in the sums, which the walk carries from row to row.
+  5. S1 is built once per distinct sum.  Concatenating those columns and
+     dropping dependent ones yields a single generator matrix S0 whose span
+     is exactly the solution set.  A column is dependent unless it is
+     extremal, which the criterion of Butkovic, Schneider & Sergeev
+     (LAA 421, 2007) decides by scalar comparisons with the other columns;
+     S0 keeps the first column of each extremal ray.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -191,31 +193,49 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
     found it forced, and nothing has been released since: rows i..k-1 keep
     their choices while k is chosen.
     """
+    shape = sparse.shape
+    return (SelectionMatrix(shape, chosen)
+            for chosen, _ in _selections(sparse, p, prune, budget))
+
+
+def _selections(sparse: TropMatrix, p: TropVector, prune: bool,
+                budget: int | None) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    """The walk of enumerate_selections, yielding each chosen_col with its
+    terms: entry j sums the ratios t_ij = p_i a_ij^-1 of the rows i that
+    chose j.  A row's term is taken when the walk picks it, and each frame
+    keeps the sums from before its row's choice.  Row k is forced to j iff
+    t_kj <= t_ij, the dominance rule divided through, so a forced row cannot
+    change the sum and is not added.
+    """
     if not sparse.is_row_regular():
         raise NotRegularMatrix("selection enumeration needs a row-regular matrix")
     if p.dim != sparse.rows:
         raise ShapeMismatch(f"p has dim {p.dim}, matrix has {sparse.rows} rows")
     sf = sparse.semifield
-    mul, inv, le = sf.mul, sf.inv, sf.le
+    add, ratio, le = sf.add, sf.ratio, sf.order_le
     m, n = sparse.shape
     rows, pe = sparse.entries, p.entries
     forced: list[int | None] = [None] * m
 
-    def force(i: int, j: int, released: list[int]) -> None:
-        # the dominance scan of row i choosing column j
-        scale = mul(rows[i][j], inv(pe[i]))
+    def pick(i: int, j: int, terms: list, released: list[int]) -> None:
+        # row i takes column j: add its term, then run the dominance scan
+        term = ratio(pe[i], rows[i][j])
+        terms[j] = add(terms[j], term)
+        if not prune:
+            return
         for k in range(i + 1, m):
             if forced[k] is None:
                 pk, a_kj = pe[k], rows[k][j]
-                if pk is not ZERO and a_kj is not ZERO and le(mul(scale, pk), a_kj):
+                if pk is not ZERO and a_kj is not ZERO and le(ratio(pk, a_kj), term):
                     forced[k] = j
                     released.append(k)
 
-    def walk() -> Iterator[SelectionMatrix]:
-        choice = [0] * m
-        # (row, its remaining candidates, rows forced since its choice) of
-        # each row that branches; the root's forced rows are never released
-        frames: list[tuple[int, Iterator[int], list[int]]] = []
+    def walk():
+        choice, terms = [0] * m, [ZERO] * n
+        # (row, its remaining candidates, rows forced since its choice, terms
+        # before its choice) of each row that branches; the root's forced
+        # rows are never released
+        frames: list[tuple[int, Iterator[int], list[int], list]] = []
         released: list[int] = []
         emitted = i = 0
         while True:
@@ -224,24 +244,20 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
                 if j is None:
                     cols = [c for c, a in enumerate(rows[i]) if a is not ZERO]
                     j = cols[0]
-                    if pe[i] is ZERO:
-                        choice[i] = j
-                        i += 1
-                        continue
-                    if len(cols) > 1:
-                        released = []
-                        frames.append((i, iter(cols[1:]), released))
-                    if prune:
-                        force(i, j, released)
+                    if pe[i] is not ZERO:
+                        if len(cols) > 1:
+                            released = []
+                            frames.append((i, iter(cols[1:]), released, terms[:]))
+                        pick(i, j, terms, released)
                 choice[i] = j
                 i += 1
             if budget is not None and emitted >= budget:
                 raise EnumerationBudgetExceeded(
                     f"more than {budget} selections", visited=emitted)
             emitted += 1
-            yield SelectionMatrix((m, n), tuple(choice))
+            yield tuple(choice), tuple(terms)
             while frames:
-                i, rest, released = frames[-1]
+                i, rest, released, saved = frames[-1]
                 while released:
                     forced[released.pop()] = None
                 j = next(rest, None)
@@ -250,34 +266,27 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
                 frames.pop()
             else:
                 return
-            choice[i] = j
-            if prune:
-                force(i, j, released)
+            choice[i], terms = j, saved[:]
+            pick(i, j, terms, released)
             i += 1
 
     return walk()
 
 
-def _s1_columns(prob: SpanProblem) -> Callable[[tuple[int, ...]], list[tuple]]:
-    """The columns of S1 = I (+) l q^- for a selection's chosen_col, as tuples.
+def _s1_columns(prob: SpanProblem) -> Callable[[Sequence], list[tuple]]:
+    """The columns of S1 = I (+) l q^- for a selection's terms, as tuples.
 
-    l = Delta^-1 A1^- p, where entry j of A1^- p sums p_i a_ij^-1 over the
-    rows i that chose column j, so A1 itself is never built.  Those terms
-    are compare-only ratios; the product with Delta^-1 makes each entry of l
-    a valid scalar.  Column j is l q_j^-1 with one added at row j.
+    l = Delta^-1 A1^- p, and entry j of A1^- p is entry j of the terms that
+    the walk sums (the product with Delta^-1 makes each a valid scalar), so
+    A1 itself is never built.  Column j is l q_j^-1 with one added at row j.
     Delta^-1 and q^- are computed once.
     """
-    sf, rows = prob.semifield, prob.sparsified.entries
-    p, q = prob.p.entries, prob.q.entries
-    add, mul, le, ratio = sf.add, sf.mul, sf.le, sf.ratio
+    sf, q = prob.semifield, prob.q.entries
+    mul, le = sf.mul, sf.le
     inv_delta, inv_q = sf.inv(prob.delta), [sf.inv(v) for v in q]
 
-    def columns(chosen_col: tuple[int, ...]) -> list[tuple]:
-        lower = [ZERO] * len(q)
-        for row, j, pi in zip(rows, chosen_col, p):
-            if pi is not ZERO:
-                lower[j] = add(lower[j], ratio(pi, row[j]))
-        lower = [mul(inv_delta, l) for l in lower]
+    def columns(terms: Sequence) -> list[tuple]:
+        lower = [mul(inv_delta, t) for t in terms]
         if not all(le(l, u) for l, u in zip(lower, q)):
             raise ValidationError("interval lower bound exceeds the upper bound")
         return generator_columns(sf, lower, inv_q)
@@ -288,12 +297,17 @@ def _s1_columns(prob: SpanProblem) -> Callable[[tuple[int, ...]], list[tuple]]:
 def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSet:
     """Span I (+) Delta^-1 A1^- p q^- contributed by one selection.
 
-    Built by the same S1 column builder that complete_solution pools from.
+    Sums the selection's terms p_i a_ij^-1 over all its rows, then builds
+    S1 with the column builder that complete_solution pools from.
     """
     if sel.base_shape != prob.A.shape:
         raise ShapeMismatch(f"selection for shape {sel.base_shape}")
-    return GeneratorSet(_trusted(TropMatrix, prob.semifield,
-                                 zip(*_s1_columns(prob)(sel.chosen_col))))
+    sf, terms = prob.semifield, [ZERO] * prob.A.cols
+    for row, j, pi in zip(prob.sparsified.entries, sel.chosen_col, prob.p):
+        if pi is not ZERO:
+            terms[j] = sf.add(terms[j], sf.ratio(pi, row[j]))
+    return GeneratorSet(_trusted(TropMatrix, sf,
+                                 zip(*_s1_columns(prob)(terms))))
 
 
 @dataclass(frozen=True)
@@ -322,27 +336,31 @@ def complete_solution(prob: SpanProblem, *,
                       prune: bool = True) -> CompleteSolution:
     """Assemble S0: enumerate selections, pool their generators, reduce.
 
-    Selections are pooled as the walk emits them: the S1 columns, plain
-    tuples from the builder that selection_generators also uses, are keyed
-    by ray_key, and a column of a ray already pooled is skipped, so memory
-    follows the distinct rays.  extremal_rays keeps the extremal ones, and
-    the surviving basis is put into canonical column order, so repeated runs
-    with the same flags print the identical matrix.  A budget overrun
-    re-walks for exc.partial.
+    Selections are pooled as the walk emits them, with the terms each
+    carries; one whose terms were seen before has the same l and S1, and is
+    skipped.  The S1 columns, plain tuples from the builder that
+    selection_generators also uses, are keyed by ray_key, and a column of a
+    ray already pooled is skipped, so memory follows the distinct rays.
+    extremal_rays keeps the extremal ones, and the surviving basis is put
+    into canonical column order, so repeated runs with the same flags print
+    the identical matrix.  A budget overrun re-walks for exc.partial.
     """
     sf, sparse = prob.semifield, prob.sparsified
     columns = _s1_columns(prob)
-    rays = {}
+    rays, seen = {}, set()
     count = 0
     try:
-        for count, sel in enumerate(enumerate_selections(
-                sparse, prob.p, prune=prune, budget=budget), 1):
-            for col in columns(sel.chosen_col):
-                rays.setdefault(ray_key(sf, col), col)
+        for count, (_, terms) in enumerate(_selections(
+                sparse, prob.p, prune, budget), 1):
+            if terms not in seen:
+                seen.add(terms)
+                for col in columns(terms):
+                    rays.setdefault(ray_key(sf, col), col)
     except EnumerationBudgetExceeded as exc:
         exc.partial = list(islice(enumerate_selections(
             sparse, prob.p, prune=prune, budget=None), exc.visited))
         raise
+    del seen
     pool = list(rays.values())
     kept = [pool[k] for k in extremal_rays(sf, pool)]
     ordered = canonical_column_order(_trusted(TropMatrix, sf, zip(*kept)))

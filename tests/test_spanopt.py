@@ -39,8 +39,10 @@ from tropspan import (
     selection_generators,
     verify_optimal,
 )
+from tropspan import spanopt
 from tropspan.linalg import ray_key, reduce_to_independent
-from tropspan.spanopt import _s1_columns, canonical_column_order
+from tropspan.solvers import generator_columns
+from tropspan.spanopt import _s1_columns, _selections, canonical_column_order
 
 
 def test_objective_golden():
@@ -306,6 +308,16 @@ def _half_unit_problem(rng, sf):
                        TropVector(sf, [value() for _ in range(n)]))
 
 
+def _fold_terms(prob, chosen_col):
+    # entry j sums p_i a_ij^-1 over every row i that chose j, in row order
+    sf, rows = prob.semifield, prob.sparsified.entries
+    terms = [ZERO] * prob.A.cols
+    for i, (j, pi) in enumerate(zip(chosen_col, prob.p)):
+        if pi is not ZERO:
+            terms[j] = sf.add(terms[j], sf.ratio(pi, rows[i][j]))
+    return tuple(terms)
+
+
 def _typed(entries):
     # 1 == Fraction(1), so == alone would hide an unnormalized Fraction
     return [(type(e), e) for e in entries]
@@ -320,7 +332,7 @@ def test_s1_columns_are_type_exact():
             for sel in islice(enumerate_selections(prob.sparsified, prob.p,
                                                    prune=False), 20):
                 reference = _reference_s1(sel, prob)
-                pooled = columns(sel.chosen_col)
+                pooled = columns(_fold_terms(prob, sel.chosen_col))
                 assert [_typed(c) for c in pooled] == [
                     _typed(c) for c in reference.generators.columns()]
                 viewed = selection_generators(sel, prob)
@@ -362,6 +374,76 @@ def test_complete_solution_is_the_reduction_of_all_s1_columns():
             assert complete_solution(prob).generators.generators \
                 == canonical_column_order(whole)
     assert repeated > 0
+
+
+def test_enumerate_matches_recursive_reference_on_every_semifield():
+    # the walk compares ratios p_k a_kj^-1 in the semifield order; the
+    # reference multiplies and compares with le, so Fraction ratios and the
+    # reversed order of the min-* semifields are checked against it
+    rng = random.Random(101)
+    overruns = pruned = 0
+    for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
+        for _ in range(40):
+            prob = _half_unit_problem(rng, sf)
+            for sparse in (prob.sparsified, prob.A):
+                lengths = {}
+                for prune in (True, False):
+                    for budget in (None, 1, 7, 40):
+                        expected = _listing(_reference_selections(
+                            sparse, prob.p, prune, budget))
+                        overruns += isinstance(expected[-1][0], str)
+                        assert _listing(enumerate_selections(
+                            sparse, prob.p, prune=prune,
+                            budget=budget)) == expected
+                    lengths[prune] = len(expected)
+                pruned += lengths[True] < lengths[False]
+    assert overruns > 50 and pruned > 20
+
+
+def test_carried_terms_equal_the_fold():
+    # the walk adds no term of a forced row: forcing means its term is at
+    # most that of the row that forced it, so the fold over every row of
+    # chosen_col gives the same sums, types included
+    rng = random.Random(103)
+    zero_weights = 0
+    problems = [_half_unit_problem(rng, sf)
+                for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
+                for _ in range(50)]
+    problems += [random_span_problem(rng, max_dim=8) for _ in range(100)]
+    for prob in problems:
+        zero_weights += any(pi is ZERO for pi in prob.p)
+        for prune in (True, False):
+            for chosen, terms in islice(_selections(
+                    prob.sparsified, prob.p, prune, None), 300):
+                assert _typed(terms) == _typed(_fold_terms(prob, chosen))
+    assert zero_weights > 50
+
+
+def test_s1_built_once_per_distinct_bound(monkeypatch):
+    # the 1200 x 3 problem of test_tall_dense_walk_follows_branching: its 51
+    # selections share fewer lower bounds l, and S1 is built once for each
+    rng = random.Random(5)
+    m = 1200
+    prob = SpanProblem(mat([[rng.randint(-5, 5) for _ in range(3)]
+                            for _ in range(m)]), vec([0] * m), vec([0] * 3))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return generator_columns(*args)
+
+    monkeypatch.setattr(spanopt, "generator_columns", counting)
+    sol = complete_solution(prob)
+    monkeypatch.undo()
+    inv_delta = MAX_PLUS.inv(prob.delta)
+    selections = list(enumerate_selections(prob.sparsified, prob.p))
+    bounds = {(sel.materialize(prob.sparsified).conj() @ prob.p)
+              .scale(inv_delta).entries for sel in selections}
+    assert len(built) == len(bounds) < sol.enumerated_count == 51
+    pooled = [col for sel in selections
+              for col in selection_generators(sel, prob).generators.columns()]
+    whole, _ = reduce_to_independent(TropMatrix.from_columns(MAX_PLUS, pooled))
+    assert sol.generators.generators == canonical_column_order(whole)
 
 
 def test_budget_overrun_lists_the_emitted_selections():

@@ -6,7 +6,9 @@ Prints one sha256 per workload and seed, and one for the command line:
 
   span-square, span-tall   complete_solution pruned, and exhaustive under a
                            budget of 3000 (visited and the partial listing
-                           when that budget is overrun)
+                           when that budget is overrun); the chosen_col
+                           listing of enumerate_selections, pruned in full
+                           and the first 3000 exhaustive ones
   schedule-jit             solve_schedule and latest_schedule
   cli                      stdout, stderr and exit code of solve (plain,
                            --exhaustive, --compact), enumerate (plain,
@@ -36,6 +38,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import islice
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +52,7 @@ from tropspan import (  # noqa: E402
     ScheduleInstance,
     SpanProblem,
     complete_solution,
+    enumerate_selections,
     latest_schedule,
     solve_schedule,
 )
@@ -108,6 +112,9 @@ def span_lines(texts):
         else:
             yield typed((sol.delta, sol.generators.generators.entries,
                          sol.enumerated_count, sol.pruned_count))
+        for prune, cap in ((True, None), (False, OVERRUN_BUDGET)):
+            yield typed(tuple(s.chosen_col for s in islice(enumerate_selections(
+                prob.sparsified, prob.p, prune=prune, budget=None), cap)))
 
 
 def schedule_lines(texts):
