@@ -364,9 +364,9 @@ def kleene_star(matrix: TropMatrix) -> TropMatrix:
     heaviest walk i -> j with intermediate vertices below k, so c_kk is the
     heaviest cycle through k over vertices 0..k.  A cycle above one exists iff
     Tr(A) > one, and then some pivot sees one, so each pivot is checked
-    before it is eliminated; that also keeps every entry a simple-path
-    weight.  With no such cycle the heaviest walk is the heaviest path of at
-    most n - 1 edges, which is exactly the power series.
+    before it is eliminated and a refusal names it; that also keeps every
+    entry a simple-path weight.  With no such cycle the heaviest walk is the
+    heaviest path of at most n - 1 edges, which is exactly the power series.
     """
     if not matrix.is_square():
         raise NotSquare(f"star of a {matrix.rows}x{matrix.cols} matrix")
@@ -375,10 +375,9 @@ def kleene_star(matrix: TropMatrix) -> TropMatrix:
     c = [list(row) for row in matrix.entries]
     for k, row_k in enumerate(c):
         if not sf.le(row_k[k], one):
-            tr = trace_closure(matrix)
             raise SpectralConditionViolated(
-                f"Tr = {sf.format_scalar(tr)} exceeds the identity; "
-                "A x <= x has no regular solution")
+                f"a cycle through vertex {k} weighs {sf.format_scalar(row_k[k])}, "
+                "above the identity; A x <= x has no regular solution")
         for i, row_i in enumerate(c):
             a = row_i[k]
             if i == k or a is ZERO:

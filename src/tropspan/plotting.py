@@ -15,6 +15,7 @@ from .errors import UnsupportedDimension
 from .semifield import ZERO
 from .solvers import interval_to_generators
 from .spanopt import (
+    DEFAULT_ENUMERATION_BUDGET,
     SpanProblem,
     complete_solution,
     extended_interval,
@@ -161,14 +162,13 @@ def _draw_ray(svg: _Svg, col, label: str, *, color="#111"):
 
 def render_span_svg(prob: SpanProblem, *, window: tuple[float, float] = (-10, 10),
                     size: int = 520,
-                    budget: int | None = None) -> str:
+                    budget: int | None = DEFAULT_ENUMERATION_BUDGET) -> str:
     """Picture of the extended interval and the complete solution strip."""
     if prob.A.cols != 2:
         raise UnsupportedDimension(
             f"plotting needs a 2-column problem, got {prob.A.cols} columns")
     interval = extended_interval(prob)
-    kwargs = {} if budget is None else {"budget": budget}
-    sol = complete_solution(prob, **kwargs)
+    sol = complete_solution(prob, budget=budget)
     s0 = sol.generators.generators
 
     svg = _Svg(window, size)

@@ -3,8 +3,8 @@
 The pipeline, for a row-regular A, nonzero p and regular q:
 
   1. The minimum value is Delta = (A q)^- p, attained at every x = alpha*q.
-  2. Entries of A below the threshold Delta^-1 p_i q_j^-1 never decide the
-     objective; zeroing them (SpanProblem.sparsified) changes nothing.
+  2. Entries a_ij below Delta^-1 p_i q_j^-1, i.e. with p_i a_ij^-1 above
+     Delta q_j, never decide the objective; zeroing them changes nothing.
   3. Fixing one nonzero entry per row of the sparsified matrix gives a
      selection A1; each selection contributes the solution cone
      alpha*Delta^-1 A1^- p <= x <= alpha*q, i.e. the span of
@@ -79,19 +79,16 @@ class SpanProblem:
 
     @cached_property
     def sparsified(self) -> TropMatrix:
-        """Threshold matrix of the problem; solution-preserving by construction."""
+        """Step 2: keeps a_ij iff p_i a_ij^-1 <= Delta q_j, rows with p_i = zero
+        whole; row-regular, as the entry attaining (A q)_i is always kept."""
         sf = self.semifield
-        inv_delta = sf.inv(self.delta)
-        inv_q = [sf.inv(v) for v in self.q]
-        rows = []
-        for i, row in enumerate(self.A.entries):
-            pi = self.p[i]
-            scale = ZERO if pi is ZERO else sf.mul(inv_delta, pi)
-            rows.append([a if sf.le(sf.mul(scale, inv_q[j]), a) else ZERO
-                         for j, a in enumerate(row)])
-        sparse = _trusted(TropMatrix, sf, rows)
-        assert sparse.is_row_regular()
-        return sparse
+        ratio, le = sf.ratio, sf.order_le
+        caps = [sf.mul(self.delta, v) for v in self.q]
+        rows = [row if pi is ZERO else
+                [a if a is not ZERO and le(ratio(pi, a), cap) else ZERO
+                 for a, cap in zip(row, caps)]
+                for row, pi in zip(self.A.entries, self.p.entries)]
+        return _trusted(TropMatrix, sf, rows)
 
 
 def objective(prob: SpanProblem, x: TropVector) -> Scalar:
@@ -193,6 +190,10 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
     found it forced, and nothing has been released since: rows i..k-1 keep
     their choices while k is chosen.
     """
+    if not sparse.is_row_regular():
+        raise NotRegularMatrix("selection enumeration needs a row-regular matrix")
+    if p.dim != sparse.rows:
+        raise ShapeMismatch(f"p has dim {p.dim}, matrix has {sparse.rows} rows")
     shape = sparse.shape
     return (SelectionMatrix(shape, chosen)
             for chosen, _ in _selections(sparse, p, prune, budget))
@@ -205,12 +206,8 @@ def _selections(sparse: TropMatrix, p: TropVector, prune: bool,
     chose j.  A row's term is taken when the walk picks it, and each frame
     keeps the sums from before its row's choice.  Row k is forced to j iff
     t_kj <= t_ij, the dominance rule divided through, so a forced row cannot
-    change the sum and is not added.
+    change the sum and is not added.  Its callers check the arguments.
     """
-    if not sparse.is_row_regular():
-        raise NotRegularMatrix("selection enumeration needs a row-regular matrix")
-    if p.dim != sparse.rows:
-        raise ShapeMismatch(f"p has dim {p.dim}, matrix has {sparse.rows} rows")
     sf = sparse.semifield
     add, ratio, le = sf.add, sf.ratio, sf.order_le
     m, n = sparse.shape
@@ -357,8 +354,8 @@ def complete_solution(prob: SpanProblem, *,
                 for col in columns(terms):
                     rays.setdefault(ray_key(sf, col), col)
     except EnumerationBudgetExceeded as exc:
-        exc.partial = list(islice(enumerate_selections(
-            sparse, prob.p, prune=prune, budget=None), exc.visited))
+        exc.partial = [SelectionMatrix(sparse.shape, c) for c, _ in islice(
+            _selections(sparse, prob.p, prune, None), exc.visited)]
         raise
     del seen
     pool = list(rays.values())

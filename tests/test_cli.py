@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from tropspan import cli, scheduling
+from conftest import mat, vec
+from tropspan import EnumerationBudgetExceeded, SpanProblem, cli, scheduling
 from tropspan.cli import main
+from tropspan.plotting import render_span_svg
 
 DATA = Path(__file__).parent / "data"
 SPAN = str(DATA / "span_demo.json")
@@ -424,6 +426,15 @@ def test_plot_degenerate_interval(tmp_path, capsys):
     assert code == 0
     svg = (tmp_path / "ray.svg").read_text()
     assert "<svg" in svg
+
+
+def test_plot_budget_none_means_no_cap():
+    # the same meaning as in complete_solution: the two selections of this
+    # problem overrun a budget of 1 and fit under none
+    prob = SpanProblem(mat([[0, 0], [0, 0]]), vec([0, 0]), vec([0, 0]))
+    with pytest.raises(EnumerationBudgetExceeded):
+        render_span_svg(prob, budget=1)
+    assert render_span_svg(prob, budget=None) == render_span_svg(prob)
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

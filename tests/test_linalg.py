@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -187,10 +188,19 @@ def test_kleene_star_matches_power_series():
             try:
                 expected = _power_series_star(m)
             except SpectralConditionViolated as exc:
+                # the refusal names a pivot k and its simple-cycle weight
+                # c_kk, so one < c_kk <= Tr
                 refused += 1
                 with pytest.raises(SpectralConditionViolated) as info:
                     kleene_star(m)
-                assert str(info.value) == str(exc)
+                found = re.fullmatch(
+                    r"a cycle through vertex (\d+) weighs (\S+), above the "
+                    r"identity; A x <= x has no regular solution",
+                    str(info.value))
+                assert int(found[1]) < n
+                weight = Fraction(found[2])
+                tr = Fraction(re.match(r"Tr = (\S+) ", str(exc))[1])
+                assert not sf.le(weight, sf.one) and sf.le(weight, tr)
                 continue
             feasible += 1
             star = kleene_star(m)
@@ -204,7 +214,19 @@ def test_kleene_star_refuses_before_eliminating():
     # square the entries at every pivot, up to 2^(2^24)
     m = TropMatrix(MAX_TIMES, [[2] * 24 for _ in range(24)])
     start = time.perf_counter()
-    with pytest.raises(SpectralConditionViolated, match=r"Tr = 16777216 "):
+    with pytest.raises(SpectralConditionViolated,
+                       match=r"^a cycle through vertex 0 weighs 2, "):
+        kleene_star(m)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_kleene_star_refusal_computes_no_trace():
+    # the refusing pivot already holds a cycle weight above one, so the
+    # refusal runs no O(n^4) power series for Tr
+    m = TropMatrix(MAX_PLUS, [[1] * 60 for _ in range(60)])
+    start = time.perf_counter()
+    with pytest.raises(SpectralConditionViolated,
+                       match=r"^a cycle through vertex 0 weighs 1, "):
         kleene_star(m)
     assert time.perf_counter() - start < 1.0
 

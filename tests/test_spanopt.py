@@ -24,6 +24,7 @@ from tropspan import (
     IntervalSet,
     NotRegularMatrix,
     NotRegularVector,
+    ShapeMismatch,
     SpanProblem,
     TropMatrix,
     TropVector,
@@ -149,6 +150,8 @@ def test_enumerate_checks_arguments_at_call_time():
     # no next(): a generator body would defer the check to the first item
     with pytest.raises(NotRegularMatrix):
         enumerate_selections(mat([[1, 2], [Z, Z]]), vec([0, 0]))
+    with pytest.raises(ShapeMismatch):
+        enumerate_selections(mat([[1, 2], [3, Z]]), vec([0, 0, 0]))
 
 
 def _reference_selections(sparse, p, prune, budget):
@@ -417,6 +420,63 @@ def test_carried_terms_equal_the_fold():
                     prob.sparsified, prob.p, prune, None), 300):
                 assert _typed(terms) == _typed(_fold_terms(prob, chosen))
     assert zero_weights > 50
+
+
+def _reference_sparsified(prob):
+    # the paper's threshold a_ij >= Delta^-1 p_i q_j^-1, with mul and le
+    sf = prob.semifield
+    inv_delta = sf.inv(prob.delta)
+    return [[a if sf.le(sf.mul(sf.mul(inv_delta, pi), sf.inv(qj)), a) else ZERO
+             for a, qj in zip(row, prob.q)]
+            for row, pi in zip(prob.A.entries, prob.p)]
+
+
+def test_sparsified_is_the_threshold_of_the_paper():
+    # sparsified compares p_i a_ij^-1 with Delta q_j, Fraction ratios and
+    # the reversed order of the min-* semifields included; it must keep the
+    # same entries with the same types, and stay row-regular unchecked
+    rng = random.Random(107)
+    zero_weights = dropped = 0
+    problems = [_half_unit_problem(rng, sf)
+                for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
+                for _ in range(150)]
+    problems += [random_span_problem(rng, max_dim=6) for _ in range(300)]
+    for prob in problems:
+        zero_weights += any(pi is ZERO for pi in prob.p)
+        sparse = prob.sparsified
+        expected = _reference_sparsified(prob)
+        assert [_typed(row) for row in sparse.entries] == [
+            _typed(row) for row in expected]
+        assert sparse.is_row_regular()
+        dropped += sum(a is not b for ra, rb in zip(prob.A.entries, expected)
+                       for a, b in zip(ra, rb))
+    assert zero_weights > 100 and dropped > 300
+
+
+def test_complete_solution_checks_no_row_regularity(monkeypatch):
+    # SpanProblem checked A, and its sparsified matrix is row-regular by
+    # construction, so complete_solution checks neither again, not even
+    # when a budget overrun lists the emitted selections
+    rng = random.Random(109)
+    problems = [random_span_problem(rng) for _ in range(40)]
+    problems.append(SpanProblem(mat([[3, -1, 0], [5, 2, 3], [6, 2, 4]]),
+                                vec([0, 0, 0]), vec([-6, -2, -4])))
+    checked = []
+    is_row_regular = TropMatrix.is_row_regular
+
+    def counting(matrix):
+        checked.append(matrix)
+        return is_row_regular(matrix)
+
+    monkeypatch.setattr(TropMatrix, "is_row_regular", counting)
+    for prob in problems:
+        complete_solution(prob, prune=False)
+        complete_solution(prob)
+    with pytest.raises(EnumerationBudgetExceeded):
+        complete_solution(problems[-1], budget=1)
+    assert checked == []
+    enumerate_selections(problems[-1].sparsified, problems[-1].p)
+    assert checked == [problems[-1].sparsified]
 
 
 def test_s1_built_once_per_distinct_bound(monkeypatch):

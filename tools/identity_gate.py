@@ -4,11 +4,12 @@
 
 Prints one sha256 per workload and seed, and one for the command line:
 
-  span-square, span-tall   complete_solution pruned, and exhaustive under a
-                           budget of 3000 (visited and the partial listing
-                           when that budget is overrun); the chosen_col
-                           listing of enumerate_selections, pruned in full
-                           and the first 3000 exhaustive ones
+  span-square, span-tall   the sparsified matrix; complete_solution pruned,
+                           and exhaustive under a budget of 3000 (visited
+                           and the partial listing when that budget is
+                           overrun); the chosen_col listing of
+                           enumerate_selections, pruned in full and the
+                           first 3000 exhaustive ones
   schedule-jit             solve_schedule and latest_schedule
   cli                      stdout, stderr and exit code of solve (plain,
                            --exhaustive, --compact), enumerate (plain,
@@ -23,7 +24,11 @@ Prints one sha256 per workload and seed, and one for the command line:
                            so a refusal may be reworded
 
 Every scalar is hashed with its Python type, so an int and an equal Fraction
-differ.  The corpora come from benchmark/corpus.py, read and never written.
+differ.  The corpora come from benchmark/corpus.py, read and never written;
+they are max-plus only, so the other three semifields are left to the tests
+(tests/test_spanopt.py compares the sparsified matrix type-exactly with the
+threshold formula on all four).
+
 Run the tool in two checkouts and compare the lines: a change that keeps
 every result prints the same lines.
 """
@@ -101,6 +106,7 @@ def span_lines(texts):
     for text in texts:
         entries = parse_problem(text).entries
         prob = SpanProblem(entries["A"], entries["p"], entries["q"])
+        yield typed(prob.sparsified.entries)
         sol = complete_solution(prob)
         yield typed((sol.delta, sol.generators.generators.entries,
                      sol.enumerated_count, sol.pruned_count))
