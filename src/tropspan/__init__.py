@@ -64,7 +64,6 @@ from .solvers import (
     GeneratorSet,
     IntervalSet,
     interval_to_generators,
-    membership,
     solve_upper_bound,
 )
 from .spanopt import (
@@ -75,10 +74,8 @@ from .spanopt import (
     complete_solution,
     enumerate_selections,
     extended_interval,
-    extended_solution,
     objective,
     selection_generators,
-    verify_optimal,
 )
 
 __version__ = "0.1.0"

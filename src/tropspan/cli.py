@@ -31,7 +31,8 @@ from .scheduling import (
     reduced_span_problem,
     solve_schedule,
 )
-from .solvers import GeneratorSet, membership
+from .linalg import depends_on
+from .solvers import interval_to_generators
 from .spanopt import (
     DEFAULT_ENUMERATION_BUDGET,
     SpanProblem,
@@ -39,7 +40,6 @@ from .spanopt import (
     complete_solution,
     enumerate_selections,
     extended_interval,
-    extended_solution,
     objective,
     selection_count,
     selection_generators,
@@ -84,7 +84,8 @@ def _solution_document(problem, digest, *, budget, prune, compact):
         entries = {"generators": sol.generators.generators,
                    "extended.lower": interval.lower,
                    "extended.upper": interval.upper,
-                   "extended.generators": extended_solution(problem).generators}
+                   "extended.generators":
+                       interval_to_generators(interval).generators}
     else:
         sol = solve_schedule(problem, budget=budget, prune=prune)
         if compact:
@@ -177,7 +178,7 @@ def _verify_solution_document(doc, problem, digest, given, *,
             ("generator columns attain delta",
              all(attains_minimum(problem, c) for c in generators.columns())),
             ("q lies in the generator span",
-             membership(GeneratorSet(generators), problem.q))]
+             depends_on(generators, problem.q))]
     else:
         report = check_schedule(problem, given.entries["latest.x"],
                                 given.entries["latest.y"])

@@ -139,12 +139,6 @@ def _scalars(values: list, where: str, sf: Semifield) -> list:
     return out
 
 
-def _built(cls, sf: Semifield, entries):
-    # _scalar admits exactly the max-plus scalars; the other semifields
-    # restrict the domain further, so their constructors check again
-    return _trusted(cls, sf, entries) if sf is MAX_PLUS else cls(sf, entries)
-
-
 def scalar_to_json(value: Scalar, semifield: Semifield):
     if value is ZERO:
         return semifield.zero_token
@@ -156,7 +150,7 @@ def scalar_to_json(value: Scalar, semifield: Semifield):
 def _vector_from_json(value, where: str, sf: Semifield) -> TropVector:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a non-empty array of scalars")
-    return _built(TropVector, sf, _scalars(value, where, sf))
+    return _trusted(TropVector, sf, _scalars(value, where, sf))
 
 
 def _matrix_from_json(value, where: str, sf: Semifield) -> TropMatrix:
@@ -173,7 +167,7 @@ def _matrix_from_json(value, where: str, sf: Semifield) -> TropMatrix:
             raise ParseError(f"{where}: ragged rows "
                              f"(row {i} has {len(row)} entries, expected {width})")
         rows.append(_scalars(row, f"{where}[{i}]", sf))
-    return _built(TropMatrix, sf, rows)
+    return _trusted(TropMatrix, sf, rows)
 
 
 def _vector_to_json(v: TropVector):
@@ -199,7 +193,9 @@ def _load_json(text: str):
 
 
 def _header(data, kinds: tuple[str, str]) -> tuple[str, Semifield]:
-    """The kind, one of kinds, and the semifield of a loaded document."""
+    """The kind, one of kinds, and the semifield of a loaded document, which
+    must be max-plus: _scalar admits exactly its scalars, so the readers
+    build entries with _trusted."""
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     kind = data.get("kind")
@@ -209,7 +205,10 @@ def _header(data, kinds: tuple[str, str]) -> tuple[str, Semifield]:
     sf_name = data.get("semifield", MAX_PLUS.name)
     if not isinstance(sf_name, str) or sf_name not in SEMIFIELDS:
         raise ParseError(f"unknown semifield {sf_name!r}")
-    return kind, SEMIFIELDS[sf_name]
+    if sf_name != MAX_PLUS.name:
+        raise ValidationError(
+            f"only the {MAX_PLUS.name} semifield is supported in document files")
+    return kind, MAX_PLUS
 
 
 def _field(data: dict, path: str, kind: str):
@@ -270,9 +269,6 @@ def parse_problem(text: str) -> ProblemDocument:
     Kleene star is left to the instance, which refuses infeasible precedence."""
     data = _load_json(text)
     kind, sf = _header(data, (KIND_SPAN, KIND_SCHEDULE))
-    if sf is not MAX_PLUS:
-        raise ValidationError(
-            f"only the {MAX_PLUS.name} semifield is supported in problem files")
     allowed = set(_FIELDS[kind]) | {"kind", "semifield", "metadata"}
     unexpected = sorted(set(data) - allowed)
     if unexpected:

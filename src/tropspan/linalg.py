@@ -15,6 +15,18 @@ Matrices and vectors are immutable value objects holding exact scalars
 Sparsity is semantic (ZERO entries), not representational; problem sizes in
 this domain are tiny, so everything is dense.
 
+Each of the paper's three operations has one kernel here:
+
+    _product                  the one product loop, over row tables: A @ B
+                              is A's rows through B's, x @ A the single row
+                              x through A's, A @ x the row x through the
+                              columns of A (x^T A^T), x @ y a 1 x 1 product
+    residuation_coefficients  the greatest subsolution (b^- A)^- of A x <= b,
+                              which solvers.solve_upper_bound returns too
+    depends_on                the span-membership test: x is in the span
+                              of S iff the greatest subsolution v of
+                              S v <= x has S v == x
+
 Scalars are validated once, where they enter: the public TropVector(...) and
 TropMatrix(...) constructors run Semifield.check_value on every entry, and
 from_columns and scale check what they are handed.  Results that the
@@ -51,6 +63,25 @@ def _trusted(cls, semifield: Semifield, entries):
     obj = cls.__new__(cls)
     obj._fill(semifield, entries)
     return obj
+
+
+def _product(sf: Semifield, rows, other_rows, width: int) -> list[list]:
+    """Rows of the product A B of two row tables: row i sums a_ik (x) row k
+    of B over k.  width is B's column count, passed because B's rows may be
+    an iterator.  A zero a_ik skips row k of B and a zero b_kj its term, so
+    sparse operands cost only their nonzero pairs."""
+    add, mul = sf.add, sf.mul
+    out = []
+    for row_i in rows:
+        out_row = [ZERO] * width
+        for a, row_k in zip(row_i, other_rows):
+            if a is ZERO:
+                continue
+            for j, b in enumerate(row_k):
+                if b is not ZERO:
+                    out_row[j] = add(out_row[j], mul(a, b))
+        out.append(out_row)
+    return out
 
 
 class TropVector:
@@ -127,35 +158,19 @@ class TropVector:
                         [ZERO if e is ZERO else inv(e) for e in self.entries])
 
     def __matmul__(self, other):
-        # x @ A: row vector through a matrix; x @ y: dot product.
+        # x @ A: row vector through a matrix; x @ y: dot product, 1 x 1
         if isinstance(other, TropMatrix):
             _check_same_semifield(self, other)
             if self.dim != other.rows:
                 raise ShapeMismatch(f"row vector dim {self.dim} vs {other.rows} rows")
-            sf = self.semifield
-            out = []
-            for j in range(other.cols):
-                acc = ZERO
-                for i, v in enumerate(self.entries):
-                    if v is ZERO:
-                        continue
-                    w = other.entries[i][j]
-                    if w is ZERO:
-                        continue
-                    acc = sf.add(acc, sf.mul(v, w))
-                out.append(acc)
-            return _trusted(TropVector, sf, out)
+            return _trusted(TropVector, self.semifield, _product(
+                self.semifield, (self.entries,), other.entries, other.cols)[0])
         if isinstance(other, TropVector):
             _check_same_semifield(self, other)
             if self.dim != other.dim:
                 raise ShapeMismatch(f"vector dims {self.dim} vs {other.dim}")
-            sf = self.semifield
-            acc = ZERO
-            for v, w in zip(self.entries, other.entries):
-                if v is ZERO or w is ZERO:
-                    continue
-                acc = sf.add(acc, sf.mul(v, w))
-            return acc
+            return _product(self.semifield, (self.entries,),
+                            zip(other.entries), 1)[0][0]
         return NotImplemented
 
     def le(self, other: "TropVector") -> bool:
@@ -270,34 +285,15 @@ class TropMatrix:
             _check_same_semifield(self, other)
             if self.cols != other.rows:
                 raise ShapeMismatch(f"inner dims {self.cols} vs {other.rows}")
-            sf = self.semifield
-            add, mul = sf.add, sf.mul
-            out = []
-            for row_i in self.entries:
-                out_row = [ZERO] * other.cols
-                for a, row_k in zip(row_i, other.entries):
-                    if a is ZERO:
-                        continue
-                    for j, b in enumerate(row_k):
-                        if b is not ZERO:
-                            out_row[j] = add(out_row[j], mul(a, b))
-                out.append(out_row)
-            return _trusted(TropMatrix, sf, out)
+            return _trusted(TropMatrix, self.semifield, _product(
+                self.semifield, self.entries, other.entries, other.cols))
         if isinstance(other, TropVector):
+            # A x as x^T A^T: one row through the columns of A
             _check_same_semifield(self, other)
             if self.cols != other.dim:
                 raise ShapeMismatch(f"matrix cols {self.cols} vs vector dim {other.dim}")
-            sf = self.semifield
-            add, mul = sf.add, sf.mul
-            out = []
-            for row in self.entries:
-                acc = ZERO
-                for a, x in zip(row, other.entries):
-                    if a is ZERO or x is ZERO:
-                        continue
-                    acc = add(acc, mul(a, x))
-                out.append(acc)
-            return _trusted(TropVector, sf, out)
+            return _trusted(TropVector, self.semifield, _product(
+                self.semifield, (other.entries,), zip(*self.entries), self.rows)[0])
         return NotImplemented
 
     def scale(self, c: Scalar) -> "TropMatrix":
@@ -432,33 +428,27 @@ def ray_key(semifield: Semifield, entries: Sequence[Scalar]) -> tuple:
 
 
 def residuation_coefficients(matrix: TropMatrix, b: TropVector) -> TropVector:
-    """Greatest x with A x <= b, for any nonzero b.
+    """Greatest x with A x <= b, for any nonzero b: the conjugate form (b^- A)^-.
 
-    For regular b this is exactly (b^- A)^-.  When b has zero components, a
-    column whose support pokes outside the support of b is forced to the zero
-    coefficient, a constraint the conjugate form is blind to because it drops
-    exactly those rows; otherwise the coefficient is the order-minimum of
-    b_i (x) inv(a_ij) over the column's support.
+    Entry j inverts the sum over i of inv(b_i) (x) a_ij, the order-minimum of
+    b_i (x) inv(a_ij) over the column's support.  When b has zero components,
+    a column whose support pokes outside the support of b is forced to the
+    zero coefficient, a constraint the conjugate form is blind to because it
+    drops exactly those rows.  An all-zero column gets the zero coefficient
+    too.
     """
     if matrix.rows != b.dim:
         raise ShapeMismatch(f"matrix rows {matrix.rows} vs vector dim {b.dim}")
     sf = matrix.semifield
-    coeffs = []
-    for j in range(matrix.cols):
-        best = None
-        for i in range(matrix.rows):
-            a = matrix.entries[i][j]
-            if a is ZERO:
-                continue
-            bi = b[i]
-            if bi is ZERO:
-                best = ZERO
-                break
-            c = sf.mul(bi, sf.inv(a))
-            if best is None or sf.le(c, best):
-                best = c
-        coeffs.append(ZERO if best is None else best)
-    return _trusted(TropVector, sf, coeffs)
+    inv = sf.inv
+    b_conj = [ZERO if e is ZERO else inv(e) for e in b.entries]
+    sums = _product(sf, (b_conj,), matrix.entries, matrix.cols)[0]
+    for row, e in zip(matrix.entries, b.entries):
+        if e is ZERO:
+            for j, a in enumerate(row):
+                if a is not ZERO:
+                    sums[j] = ZERO
+    return _trusted(TropVector, sf, [ZERO if c is ZERO else inv(c) for c in sums])
 
 
 def depends_on(matrix: TropMatrix, b: TropVector) -> bool:

@@ -3,7 +3,8 @@
 Two facts carry the whole package:
 
   * A x <= d with column-regular A and regular d has the greatest solution
-    x_max = (d^- A)^-, and every x <= x_max solves it (solve_upper_bound).
+    x_max = (d^- A)^-, and every x <= x_max solves it (solve_upper_bound,
+    through linalg.residuation_coefficients).
   * A x <= x has regular solutions iff Tr(A) <= one, in which case they are
     exactly {A* u : u regular} (linalg.kleene_star).
 
@@ -23,7 +24,6 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
     ZeroColumn,
-    ZeroVector,
 )
 from .linalg import TropMatrix, TropVector, _trusted, residuation_coefficients
 from .semifield import Semifield
@@ -48,21 +48,14 @@ class IntervalSet:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A column span {S v : v > 0}, optionally with an upper bound on v."""
+    """A column span {S v : v > 0}; linalg.depends_on tests membership."""
 
     generators: TropMatrix
-    coeff_upper_bound: TropVector | None = None
 
     def __post_init__(self):
         for j in range(self.generators.cols):
             if self.generators.col(j).is_zero():
                 raise ZeroColumn(f"generator column {j} is all-zero")
-        if self.coeff_upper_bound is not None:
-            if self.coeff_upper_bound.dim != self.generators.cols:
-                raise ShapeMismatch("coefficient bound length does not match "
-                                    "the generator count")
-            if not self.coeff_upper_bound.is_regular():
-                raise NotRegularVector("coefficient bound must be regular")
 
 
 def solve_upper_bound(matrix: TropMatrix, d: TropVector) -> TropVector:
@@ -73,7 +66,7 @@ def solve_upper_bound(matrix: TropMatrix, d: TropVector) -> TropVector:
         raise NotRegularVector("right-hand side d must be regular")
     if matrix.rows != d.dim:
         raise ShapeMismatch(f"matrix rows {matrix.rows} vs vector dim {d.dim}")
-    return (d.conj() @ matrix).conj()
+    return residuation_coefficients(matrix, d)
 
 
 def generator_columns(sf: Semifield, g, h_inv) -> list[tuple]:
@@ -96,23 +89,3 @@ def interval_to_generators(interval: IntervalSet) -> GeneratorSet:
                              interval.upper.conj().entries)
     return GeneratorSet(_trusted(TropMatrix, sf, zip(*cols)))
 
-
-def membership(gens: GeneratorSet, x: TropVector) -> bool:
-    """Whether x = S v for some v > 0 within the coefficient bound.
-
-    Decided through the canonical coefficients of the residuation: they are
-    the greatest solution v of S v <= x, so every admissible coefficient
-    vector lies below v and below the bound, and x lies in the bounded span
-    exactly when S (v meet bound) = x, the meet taken entry-wise.
-    """
-    if x.is_zero():
-        raise ZeroVector("membership of the zero vector is undefined")
-    if x.dim != gens.generators.rows:
-        raise ShapeMismatch(f"vector dim {x.dim} vs generator rows "
-                            f"{gens.generators.rows}")
-    v = residuation_coefficients(gens.generators, x)
-    if gens.coeff_upper_bound is not None:
-        le = v.semifield.le
-        v = TropVector(v.semifield, [a if le(a, b) else b for a, b in
-                                     zip(v, gens.coeff_upper_bound)])
-    return gens.generators @ v == x

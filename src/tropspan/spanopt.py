@@ -41,8 +41,7 @@ from .errors import (
 )
 from .linalg import TropMatrix, TropVector, _trusted, extremal_rays, ray_key
 from .semifield import ZERO, Scalar
-from .solvers import (GeneratorSet, IntervalSet, generator_columns,
-                      interval_to_generators)
+from .solvers import GeneratorSet, IntervalSet, generator_columns
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 
@@ -119,23 +118,11 @@ def attains_minimum(prob: SpanProblem, x: TropVector) -> bool:
     return floor.le(prob.A @ x)
 
 
-def verify_optimal(prob: SpanProblem, x: TropVector) -> bool:
-    """Whether a regular x attains the minimum (objective equals Delta)."""
-    if not x.is_regular():
-        raise NotRegularVector("verify_optimal expects a regular vector")
-    return attains_minimum(prob, x)
-
-
 def extended_interval(prob: SpanProblem) -> IntervalSet:
     """Bounds Delta^-1 Ahat^- p <= x <= q of the sparsification-extended set."""
     sf = prob.semifield
     lower = (prob.sparsified.conj() @ prob.p).scale(sf.inv(prob.delta))
     return IntervalSet(lower=lower, upper=prob.q)
-
-
-def extended_solution(prob: SpanProblem) -> GeneratorSet:
-    """Generator form I (+) Delta^-1 Ahat^- p q^- of the extended set."""
-    return interval_to_generators(extended_interval(prob))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,6 +135,21 @@ def test_solution_round_trip():
     text = serialize_solution(doc)
     assert parse_solution(text) == doc
     assert serialize_solution(parse_solution(text)) == text
+
+
+def test_min_plus_solution_is_refused():
+    # documents are max-plus only, whatever their kind: a min-plus solution
+    # would otherwise parse and only fail against a max-plus problem
+    text = json.dumps({
+        "kind": "span-solution", "semifield": "min-plus", "input_sha256": "00" * 32,
+        "delta": 2, "enumeration": {"visited": 1, "pruned": 0}, "compact": False,
+        "generators": [[0, -1], ["+inf", 0]],
+        "extended": {"lower": [1, -1], "upper": [1, 2],
+                     "generators": [[0, -1], [-2, 0]]}})
+    with pytest.raises(ValidationError, match="max-plus"):
+        parse_solution(text)
+    with pytest.raises(ValidationError, match="max-plus"):
+        parse_solution(text.replace("span-solution", "schedule-solution"))
 
 
 def test_input_digest_stability():

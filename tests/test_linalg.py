@@ -17,6 +17,7 @@ from tropspan import (
     SpanProblem,
     SpectralConditionViolated,
     TropMatrix,
+    TropVector,
     ZeroColumn,
     complete_solution,
     delta,
@@ -24,6 +25,8 @@ from tropspan import (
     kleene_star,
     outer,
     reduce_to_independent,
+    residuation_coefficients,
+    solve_upper_bound,
     trace_closure,
 )
 from tropspan.spanopt import (
@@ -59,6 +62,91 @@ def test_mat_mul():
     c = mat([[Z, Z, Z], [0, Z, -3], [-1, Z, Z]])
     a3 = mat([[3, -1, Z], [-2, 2, 0], [-1, Z, 4]])
     assert c @ a3 == CA_DEMO
+
+
+# -- the product and residuation kernels against naive references -----------
+
+SEMIFIELDS_ALL = (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
+
+
+def _kernel_entries(rng, sf, count, zeros):
+    # ints and Fractions in the domain of sf, each ZERO with chance zeros
+    lo = 1 if sf in (MAX_TIMES, MIN_TIMES) else -9
+    return [Z if rng.random() < zeros else
+            sf.check_value(Fraction(rng.randint(lo, 9), rng.choice((1, 1, 2, 3))))
+            for _ in range(count)]
+
+
+def _kernel_shapes(rng):
+    # 1 x n, n x 1 and 1 x 1 as often as larger operands
+    return [rng.choice((1, 1, rng.randint(2, 5))) for _ in range(3)]
+
+
+def _typed(entries):
+    return [(type(e), e) for e in entries]
+
+
+def _dot(sf, xs, ys):
+    # one product per entry, zeros included: the definition, not the kernel
+    acc = Z
+    for a, b in zip(xs, ys):
+        acc = sf.add(acc, sf.mul(a, b))
+    return acc
+
+
+def test_products_match_dot_reference_type_exact():
+    rng = random.Random(59)
+    for sf in SEMIFIELDS_ALL:
+        for zeros in (0.0, 0.5, 0.9):
+            for _ in range(40):
+                m, k, n = _kernel_shapes(rng)
+                a = TropMatrix(sf, [_kernel_entries(rng, sf, k, zeros)
+                                    for _ in range(m)])
+                b = TropMatrix(sf, [_kernel_entries(rng, sf, n, zeros)
+                                    for _ in range(k)])
+                x = TropVector(sf, _kernel_entries(rng, sf, k, zeros))
+                y = TropVector(sf, _kernel_entries(rng, sf, k, zeros))
+                cols_b = list(zip(*b.entries))
+                for got, row in zip((a @ b).entries, a.entries):
+                    assert _typed(got) == _typed([_dot(sf, row, c) for c in cols_b])
+                assert _typed(a @ x) == _typed([_dot(sf, row, x) for row in a.entries])
+                assert _typed(x @ b) == _typed([_dot(sf, x, c) for c in cols_b])
+                assert _typed([x @ y]) == _typed([_dot(sf, x, y)])
+
+
+def _order_min_residuation(a, b):
+    # coefficient j is the order-least b_i a_ij^-1 over the column's support,
+    # zero when that support meets a zero b_i or is empty
+    sf = a.semifield
+    out = []
+    for col in zip(*a.entries):
+        best = None
+        for a_ij, b_i in zip(col, b):
+            if a_ij is Z:
+                continue
+            if b_i is Z:
+                best = Z
+                break
+            c = sf.mul(b_i, sf.inv(a_ij))
+            if best is None or sf.le(c, best):
+                best = c
+        out.append(Z if best is None else best)
+    return out
+
+
+def test_residuation_matches_order_min_reference_type_exact():
+    rng = random.Random(61)
+    for sf in SEMIFIELDS_ALL:
+        for zeros in (0.0, 0.4, 0.8):
+            for _ in range(60):
+                m, n, _ = _kernel_shapes(rng)
+                a = TropMatrix(sf, [_kernel_entries(rng, sf, n, zeros)
+                                    for _ in range(m)])
+                b = TropVector(sf, _kernel_entries(rng, sf, m, zeros))
+                expected = _typed(_order_min_residuation(a, b))
+                assert _typed(residuation_coefficients(a, b)) == expected
+                if a.is_column_regular() and b.is_regular():
+                    assert _typed(solve_upper_bound(a, b)) == expected
 
 
 def test_conj_transpose():

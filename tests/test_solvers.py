@@ -13,12 +13,11 @@ from tropspan import (
     ValidationError,
     SpectralConditionViolated,
     TropMatrix,
-    ZeroVector,
+    ZeroColumn,
+    depends_on,
     interval_to_generators,
     kleene_star,
-    membership,
     reduce_to_independent,
-    residuation_coefficients,
     solve_upper_bound,
 )
 
@@ -144,17 +143,16 @@ def test_interval_round_trip():
                 else:
                     bottom = alpha + g[i]
                     entries.append(rng.randint(0, top - bottom) + bottom)
-            assert membership(gens, vec(entries))
+            assert depends_on(gens.generators, vec(entries))
 
 
 def test_membership_golden():
     gens = GeneratorSet(mat([[0, -1], [-2, 0]]))
-    assert membership(gens, vec([1, 2]))
-    assert not membership(gens, vec([0, 5]))
-    assert membership(gens, gens.generators.col(0))
-    assert membership(gens, gens.generators.col(1))
-    with pytest.raises(ZeroVector):
-        membership(gens, vec([Z, Z]))
+    assert depends_on(gens.generators, vec([1, 2]))
+    assert not depends_on(gens.generators, vec([0, 5]))
+    assert depends_on(gens.generators, gens.generators.col(0))
+    assert depends_on(gens.generators, gens.generators.col(1))
+    assert not depends_on(gens.generators, vec([Z, Z]))
 
 
 def test_membership_rejection_agrees_with_interval_scan():
@@ -167,28 +165,9 @@ def test_membership_rejection_agrees_with_interval_scan():
         x = vec([rng.randint(-6, 6) for _ in range(2)])
         alpha_hi = min(x[i] - lower[i] for i in range(2))
         alpha_lo = max(x[i] - upper[i] for i in range(2))
-        assert membership(gens, x) == (alpha_lo <= alpha_hi)
+        assert depends_on(gens.generators, x) == (alpha_lo <= alpha_hi)
 
 
-def test_membership_respects_bound():
-    gens = GeneratorSet(mat([[0, Z], [Z, 0]]), coeff_upper_bound=vec([2, 3]))
-    assert membership(gens, vec([2, 3]))
-    assert membership(gens, vec([1, -5]))
-    assert not membership(gens, vec([3, 0]))
-    v = residuation_coefficients(gens.generators, vec([1, -5]))
-    assert v == vec([1, -5])
-
-
-def test_membership_under_bound_below_greatest_coefficients():
-    # the greatest coefficients (0, 0) exceed the bound, yet v = (0, -5)
-    # stays within it and still gives S v = x
-    gens = GeneratorSet(mat([[0, 0]]), coeff_upper_bound=vec([0, -5]))
-    assert membership(gens, vec([0]))
-    assert not membership(gens, vec([1]))
-
-
-def test_generator_set_validation():
-    with pytest.raises(NotRegularVector):
-        GeneratorSet(mat([[0], [1]]), coeff_upper_bound=vec([Z]))
-    with pytest.raises(ShapeMismatch):
-        GeneratorSet(mat([[0], [1]]), coeff_upper_bound=vec([1, 2]))
+def test_generator_set_refuses_zero_column():
+    with pytest.raises(ZeroColumn):
+        GeneratorSet(mat([[0, Z], [1, Z]]))
