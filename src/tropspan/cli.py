@@ -100,7 +100,6 @@ def _solution_document(problem, digest, *, budget, prune, compact):
                    "latest.y": y_latest}
     return docs.SolutionDocument(
         kind=kind,
-        semifield=problem.semifield,
         input_sha256=digest,
         delta=sol.delta,
         enumeration_visited=sol.enumerated_count,
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (TropicalError, OSError) as exc:
+    except (TropicalError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:  # RecursionError, MemoryError, any other fault

@@ -1,9 +1,9 @@
 """Problem and solution documents: one canonical JSON text format.
 
-Scalars are written as JSON integers, "p/q" strings for non-integral
-rationals, and the token "-inf" for the max-plus zero.  Decimal literals in
-input are read exactly (0.5 becomes the rational 1/2), unless they could
-need more than MAX_LITERAL_DIGITS digits.  Serialization is
+Documents are max-plus only.  Scalars are written as JSON integers, "p/q"
+strings for non-integral rationals, and the token "-inf" for the zero.
+Decimal literals in input are read exactly (0.5 becomes the rational 1/2),
+unless they could need more than MAX_LITERAL_DIGITS digits.  Serialization is
 canonical (sorted keys, fixed indentation), so identical inputs always yield
 byte-identical outputs.
 
@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import ParseError, TropicalError, ValidationError
 from .linalg import TropMatrix, TropVector, _trusted
 from .scheduling import ScheduleInstance
-from .semifield import MAX_PLUS, SEMIFIELDS, ZERO, Scalar, Semifield, _norm
+from .semifield import MAX_PLUS, SEMIFIELDS, ZERO, Scalar, _norm
 from .spanopt import SpanProblem
 
 KIND_SPAN = "span"
@@ -49,6 +49,7 @@ _FIELDS = {
 # room for the sums of entries a solution holds.
 MAX_LITERAL_DIGITS = 4000
 _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
+_ZERO_TOKEN = MAX_PLUS.zero_token
 
 
 def input_digest(text: str) -> str:
@@ -94,7 +95,7 @@ def _locate_oversized(text: str) -> ParseError:
     return ParseError(f"numeric literal needs more than {MAX_LITERAL_DIGITS} digits")
 
 
-def _scalar(value, semifield: Semifield) -> Scalar:
+def _scalar(value) -> Scalar:
     """scalar_from_json without the location, which only an error needs.
 
     Plain ints are tested first and strings before Fraction, whose
@@ -108,52 +109,52 @@ def _scalar(value, semifield: Semifield) -> Scalar:
     if isinstance(value, bool):
         raise ParseError("booleans are not scalars")
     if isinstance(value, str):
-        if value == semifield.zero_token:
+        if value == _ZERO_TOKEN:
             return ZERO
         try:
             return _norm(_decimal(value))
         except (ValueError, ZeroDivisionError):
             raise ParseError(
                 f"{value!r} is not an integer, a p/q rational, "
-                f"or the token {semifield.zero_token!r}") from None
+                f"or the token {_ZERO_TOKEN!r}") from None
     if isinstance(value, Fraction):
         return _norm(value)
     raise ParseError(f"{value!r} is not a scalar")
 
 
-def scalar_from_json(value, where: str, semifield: Semifield) -> Scalar:
+def scalar_from_json(value, where: str) -> Scalar:
     try:
-        return _scalar(value, semifield)
+        return _scalar(value)
     except ParseError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
-def _scalars(values: list, where: str, sf: Semifield) -> list:
+def _scalars(values: list, where: str) -> list:
     """scalar_from_json of each value, located as where[i] on error only."""
     out = []
     try:
         for value in values:
-            out.append(_scalar(value, sf))
+            out.append(_scalar(value))
     except ParseError as exc:
         raise ParseError(f"{where}[{len(out)}]: {exc}") from None
     return out
 
 
-def scalar_to_json(value: Scalar, semifield: Semifield):
+def scalar_to_json(value: Scalar):
     if value is ZERO:
-        return semifield.zero_token
+        return _ZERO_TOKEN
     if isinstance(value, int):
         return value
     return str(value)
 
 
-def _vector_from_json(value, where: str, sf: Semifield) -> TropVector:
+def _vector_from_json(value, where: str) -> TropVector:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a non-empty array of scalars")
-    return _trusted(TropVector, sf, _scalars(value, where, sf))
+    return _trusted(TropVector, MAX_PLUS, _scalars(value, where))
 
 
-def _matrix_from_json(value, where: str, sf: Semifield) -> TropMatrix:
+def _matrix_from_json(value, where: str) -> TropMatrix:
     if not isinstance(value, list) or not value:
         raise ParseError(f"{where}: expected a non-empty array of rows")
     rows = []
@@ -166,16 +167,16 @@ def _matrix_from_json(value, where: str, sf: Semifield) -> TropMatrix:
         elif len(row) != width:
             raise ParseError(f"{where}: ragged rows "
                              f"(row {i} has {len(row)} entries, expected {width})")
-        rows.append(_scalars(row, f"{where}[{i}]", sf))
-    return _trusted(TropMatrix, sf, rows)
+        rows.append(_scalars(row, f"{where}[{i}]"))
+    return _trusted(TropMatrix, MAX_PLUS, rows)
 
 
 def _vector_to_json(v: TropVector):
-    return [scalar_to_json(e, v.semifield) for e in v.entries]
+    return [scalar_to_json(e) for e in v.entries]
 
 
 def _matrix_to_json(m: TropMatrix):
-    return [[scalar_to_json(e, m.semifield) for e in row] for row in m.entries]
+    return [[scalar_to_json(e) for e in row] for row in m.entries]
 
 
 # -- one reader and one writer for every kind ---------------------------------
@@ -192,10 +193,10 @@ def _load_json(text: str):
         raise _locate_oversized(text) from None
 
 
-def _header(data, kinds: tuple[str, str]) -> tuple[str, Semifield]:
-    """The kind, one of kinds, and the semifield of a loaded document, which
-    must be max-plus: _scalar admits exactly its scalars, so the readers
-    build entries with _trusted."""
+def _header(data, kinds: tuple[str, str]) -> str:
+    """The kind, one of kinds, of a loaded document, whose semifield must be
+    max-plus: _scalar admits exactly its scalars, so the readers build
+    entries with _trusted."""
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     kind = data.get("kind")
@@ -208,7 +209,7 @@ def _header(data, kinds: tuple[str, str]) -> tuple[str, Semifield]:
     if sf_name != MAX_PLUS.name:
         raise ValidationError(
             f"only the {MAX_PLUS.name} semifield is supported in document files")
-    return kind, MAX_PLUS
+    return kind
 
 
 def _field(data: dict, path: str, kind: str):
@@ -221,12 +222,12 @@ def _field(data: dict, path: str, kind: str):
     return value
 
 
-def _read_entries(data: dict, kind: str, sf: Semifield) -> dict:
+def _read_entries(data: dict, kind: str) -> dict:
     """Every matrix and vector _FIELDS lists for kind, keyed by its path."""
     entries = {}
     for path, shape in _FIELDS[kind].items():
         loader = _matrix_from_json if shape == "matrix" else _vector_from_json
-        entries[path] = loader(_field(data, path, kind), path, sf)
+        entries[path] = loader(_field(data, path, kind), path)
     return entries
 
 
@@ -247,7 +248,6 @@ def _write_entries(payload: dict, entries: dict) -> str:
 @dataclass(frozen=True, eq=True)
 class ProblemDocument:
     kind: str
-    semifield: Semifield
     entries: dict  # name -> TropMatrix | TropVector
     metadata: dict  # str -> str
 
@@ -268,12 +268,12 @@ def parse_problem(text: str) -> ProblemDocument:
     """A problem document whose data its problem class accepts; a schedule's
     Kleene star is left to the instance, which refuses infeasible precedence."""
     data = _load_json(text)
-    kind, sf = _header(data, (KIND_SPAN, KIND_SCHEDULE))
+    kind = _header(data, (KIND_SPAN, KIND_SCHEDULE))
     allowed = set(_FIELDS[kind]) | {"kind", "semifield", "metadata"}
     unexpected = sorted(set(data) - allowed)
     if unexpected:
         raise ParseError(f"unexpected fields: {', '.join(unexpected)}")
-    entries = _read_entries(data, kind, sf)
+    entries = _read_entries(data, kind)
 
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict) or any(
@@ -286,12 +286,11 @@ def parse_problem(text: str) -> ProblemDocument:
         check(*entries.values())
     except TropicalError as exc:
         raise ValidationError(str(exc)) from None
-    return ProblemDocument(kind=kind, semifield=sf, entries=entries,
-                           metadata=dict(metadata))
+    return ProblemDocument(kind=kind, entries=entries, metadata=dict(metadata))
 
 
 def serialize_problem(doc: ProblemDocument) -> str:
-    payload = {"kind": doc.kind, "semifield": doc.semifield.name}
+    payload = {"kind": doc.kind, "semifield": MAX_PLUS.name}
     if doc.metadata:
         payload["metadata"] = dict(sorted(doc.metadata.items()))
     return _write_entries(payload, doc.entries)
@@ -302,7 +301,6 @@ def serialize_problem(doc: ProblemDocument) -> str:
 @dataclass(frozen=True, eq=True)
 class SolutionDocument:
     kind: str
-    semifield: Semifield
     input_sha256: str
     delta: Scalar
     enumeration_visited: int
@@ -312,12 +310,11 @@ class SolutionDocument:
 
 
 def serialize_solution(doc: SolutionDocument) -> str:
-    sf = doc.semifield
     return _write_entries({
         "kind": doc.kind,
-        "semifield": sf.name,
+        "semifield": MAX_PLUS.name,
         "input_sha256": doc.input_sha256,
-        "delta": scalar_to_json(doc.delta, sf),
+        "delta": scalar_to_json(doc.delta),
         "enumeration": {"visited": doc.enumeration_visited,
                         "pruned": doc.enumeration_pruned},
         "compact": doc.compact,
@@ -325,7 +322,7 @@ def serialize_solution(doc: SolutionDocument) -> str:
 
 
 def _solution(data) -> SolutionDocument:
-    kind, sf = _header(data, (KIND_SPAN_SOLUTION, KIND_SCHEDULE_SOLUTION))
+    kind = _header(data, (KIND_SPAN_SOLUTION, KIND_SCHEDULE_SOLUTION))
 
     def header(path, valid, expected):
         value = _field(data, path, kind)
@@ -336,15 +333,14 @@ def _solution(data) -> SolutionDocument:
     count = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
     return SolutionDocument(
         kind=kind,
-        semifield=sf,
         input_sha256=header("input_sha256", lambda v: isinstance(v, str),
                             "a string"),
-        delta=scalar_from_json(_field(data, "delta", kind), "delta", sf),
+        delta=scalar_from_json(_field(data, "delta", kind), "delta"),
         enumeration_visited=header("enumeration.visited", *count),
         enumeration_pruned=header("enumeration.pruned", *count),
         compact="compact" in data and header(
             "compact", lambda v: isinstance(v, bool), "true or false"),
-        entries=_read_entries(data, kind, sf),
+        entries=_read_entries(data, kind),
     )
 
 
@@ -362,7 +358,6 @@ def parse_candidates(text: str, doc: ProblemDocument) -> tuple[str, object]:
     if not isinstance(data, dict):
         raise ParseError("candidates: top level must be an object")
     kind = data.get("kind")
-    sf = doc.semifield
     if kind in (KIND_SPAN_SOLUTION, KIND_SCHEDULE_SOLUTION):
         return ("solution", _solution(data))
     if kind != "candidates":
@@ -372,7 +367,7 @@ def parse_candidates(text: str, doc: ProblemDocument) -> tuple[str, object]:
         raw = data.get("vectors")
         if not isinstance(raw, list) or not raw:
             raise ParseError("candidates: expected a non-empty 'vectors' array")
-        vectors = [_vector_from_json(v, f"vectors[{i}]", sf)
+        vectors = [_vector_from_json(v, f"vectors[{i}]")
                    for i, v in enumerate(raw)]
         return ("vectors", vectors)
     raw = data.get("schedules")
@@ -382,6 +377,6 @@ def parse_candidates(text: str, doc: ProblemDocument) -> tuple[str, object]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or "x" not in item or "y" not in item:
             raise ParseError(f"schedules[{i}]: expected an object with x and y")
-        pairs.append((_vector_from_json(item["x"], f"schedules[{i}].x", sf),
-                      _vector_from_json(item["y"], f"schedules[{i}].y", sf)))
+        pairs.append((_vector_from_json(item["x"], f"schedules[{i}].x"),
+                      _vector_from_json(item["y"], f"schedules[{i}].y")))
     return ("pairs", pairs)

@@ -296,12 +296,6 @@ class TropMatrix:
                 self.semifield, (other.entries,), zip(*self.entries), self.rows)[0])
         return NotImplemented
 
-    def scale(self, c: Scalar) -> "TropMatrix":
-        sf = self.semifield
-        c, mul = sf.check_value(c), sf.mul
-        return _trusted(TropMatrix, sf,
-                        [[mul(c, e) for e in row] for row in self.entries])
-
     def conj(self) -> "TropMatrix":
         """Multiplicative conjugate transpose: (A^-)_ij = inv(a_ji), zeros kept."""
         if self.is_zero():
@@ -403,10 +397,8 @@ def delta(matrix: TropMatrix, b: TropVector) -> Scalar:
     residual = b.conj() @ matrix
     if residual.is_zero():
         return ZERO
-    coeffs = residual.conj()
-    image = matrix @ coeffs
-    if image.is_zero():
-        return ZERO
+    # the image is nonzero: a finite residual_j needs finite a_ij and b_i
+    image = matrix @ residual.conj()
     return image.conj() @ b
 
 

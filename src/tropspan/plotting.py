@@ -11,8 +11,8 @@ mirroring the usual hand-drawn figures.
 
 from __future__ import annotations
 
-from .errors import UnsupportedDimension
-from .semifield import ZERO
+from .errors import UnsupportedDimension, ValidationError
+from .semifield import MAX_PLUS, ZERO
 from .solvers import interval_to_generators
 from .spanopt import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -22,6 +22,7 @@ from .spanopt import (
 )
 
 _INF = float("inf")
+_SIZE = 520  # width and height of the picture, in pixels
 
 
 def _offsets(columns) -> tuple[float, float]:
@@ -41,62 +42,46 @@ def _offsets(columns) -> tuple[float, float]:
     return lo, hi
 
 
-def _clip_halfplane(points, keep):
-    """Sutherland-Hodgman step: keep(p) true for points on the kept side."""
-    out = []
+def _clip(points, c: float, below: bool):
+    """Sutherland-Hodgman step keeping the half-plane x2 - x1 <= c, or
+    x2 - x1 >= c when below is false."""
     m = len(points)
+    d = [p[1] - p[0] for p in points]
+    inside = [e <= c + 1e-9 if below else e >= c - 1e-9 for e in d]
+    out = []
     for i in range(m):
-        cur, nxt = points[i], points[(i + 1) % m]
-        cur_in, nxt_in = keep(cur), keep(nxt)
-        if cur_in:
-            out.append(cur)
-        if cur_in != nxt_in:
-            # intersection with the line x2 - x1 = c is found by the caller
-            out.append(keep.crossing(cur, nxt))
+        k = (i + 1) % m
+        if inside[i]:
+            out.append(points[i])
+        if inside[i] != inside[k]:
+            # solve (p2 + t(q2-p2)) - (p1 + t(q1-p1)) = c
+            p, q, dp, dq = points[i], points[k], d[i] - c, d[k] - c
+            t = dp / (dp - dq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
     return out
-
-
-class _DiagonalCut:
-    """Half-plane x2 - x1 <= c (or >=), with its crossing computation."""
-
-    def __init__(self, c: float, below: bool):
-        self.c = c
-        self.below = below
-
-    def __call__(self, p):
-        d = p[1] - p[0]
-        return d <= self.c + 1e-9 if self.below else d >= self.c - 1e-9
-
-    def crossing(self, p, q):
-        # solve (p2 + t(q2-p2)) - (p1 + t(q1-p1)) = c
-        dp = (p[1] - p[0]) - self.c
-        dq = (q[1] - q[0]) - self.c
-        t = dp / (dp - dq)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
 
 def _region_polygon(lo: float, hi: float, w0: float, w1: float):
     points = [(w0, w0), (w1, w0), (w1, w1), (w0, w1)]
     if hi < _INF:
-        points = _clip_halfplane(points, _DiagonalCut(hi, below=True))
+        points = _clip(points, hi, below=True)
     if points and lo > -_INF:
-        points = _clip_halfplane(points, _DiagonalCut(lo, below=False))
+        points = _clip(points, lo, below=False)
     return points
 
 
 class _Svg:
-    def __init__(self, window: tuple[float, float], size: int):
+    def __init__(self, window: tuple[float, float]):
         self.w0, self.w1 = window
-        self.size = size
         self.margin = 30.0
-        self.scale = (size - 2 * self.margin) / (self.w1 - self.w0)
+        self.scale = (_SIZE - 2 * self.margin) / (self.w1 - self.w0)
         self.parts: list[str] = []
 
     def sx(self, x: float) -> float:
         return self.margin + (x - self.w0) * self.scale
 
     def sy(self, y: float) -> float:
-        return self.size - self.margin - (y - self.w0) * self.scale
+        return _SIZE - self.margin - (y - self.w0) * self.scale
 
     def fmt(self, v: float) -> str:
         return f"{v:.2f}"
@@ -134,12 +119,12 @@ class _Svg:
             t += step
 
     def document(self) -> str:
-        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.size}" '
-                f'height="{self.size}" viewBox="0 0 {self.size} {self.size}">')
+        head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+                f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">')
         defs = ('<defs><marker id="arrow" markerWidth="8" markerHeight="8" '
                 'refX="6" refY="3" orient="auto">'
                 '<path d="M0,0 L6,3 L0,6 z" fill="#111" /></marker></defs>')
-        bg = f'<rect width="{self.size}" height="{self.size}" fill="white" />'
+        bg = f'<rect width="{_SIZE}" height="{_SIZE}" fill="white" />'
         return "\n".join([head, defs, bg, *self.parts, "</svg>"]) + "\n"
 
 
@@ -161,9 +146,11 @@ def _draw_ray(svg: _Svg, col, label: str, *, color="#111"):
 
 
 def render_span_svg(prob: SpanProblem, *, window: tuple[float, float] = (-10, 10),
-                    size: int = 520,
                     budget: int | None = DEFAULT_ENUMERATION_BUDGET) -> str:
     """Picture of the extended interval and the complete solution strip."""
+    if prob.semifield is not MAX_PLUS:
+        raise ValidationError(
+            f"plotting needs a {MAX_PLUS.name} problem, got {prob.semifield.name}")
     if prob.A.cols != 2:
         raise UnsupportedDimension(
             f"plotting needs a 2-column problem, got {prob.A.cols} columns")
@@ -171,7 +158,7 @@ def render_span_svg(prob: SpanProblem, *, window: tuple[float, float] = (-10, 10
     sol = complete_solution(prob, budget=budget)
     s0 = sol.generators.generators
 
-    svg = _Svg(window, size)
+    svg = _Svg(window)
     w0, w1 = svg.w0, svg.w1
     # axes
     svg.line((w0, 0), (w1, 0), width=1.0, color="#999")

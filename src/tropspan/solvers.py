@@ -53,9 +53,8 @@ class GeneratorSet:
     generators: TropMatrix
 
     def __post_init__(self):
-        for j in range(self.generators.cols):
-            if self.generators.col(j).is_zero():
-                raise ZeroColumn(f"generator column {j} is all-zero")
+        if not self.generators.is_column_regular():
+            raise ZeroColumn("a generator column is all-zero")
 
 
 def solve_upper_bound(matrix: TropMatrix, d: TropVector) -> TropVector:

@@ -36,7 +36,6 @@ from .errors import (
     NotRegularMatrix,
     NotRegularVector,
     ShapeMismatch,
-    ValidationError,
     ZeroVector,
 )
 from .linalg import TropMatrix, TropVector, _trusted, extremal_rays, ray_key
@@ -263,17 +262,15 @@ def _s1_columns(prob: SpanProblem) -> Callable[[Sequence], list[tuple]]:
     l = Delta^-1 A1^- p, and entry j of A1^- p is entry j of the terms that
     the walk sums (the product with Delta^-1 makes each a valid scalar), so
     A1 itself is never built.  Column j is l q_j^-1 with one added at row j.
-    Delta^-1 and q^- are computed once.
+    Delta^-1 and q^- are computed once.  l <= q holds unchecked, as the
+    sparsified matrix keeps a_ij only if p_i a_ij^-1 <= Delta q_j.
     """
-    sf, q = prob.semifield, prob.q.entries
-    mul, le = sf.mul, sf.le
-    inv_delta, inv_q = sf.inv(prob.delta), [sf.inv(v) for v in q]
+    sf = prob.semifield
+    mul = sf.mul
+    inv_delta, inv_q = sf.inv(prob.delta), [sf.inv(v) for v in prob.q]
 
     def columns(terms: Sequence) -> list[tuple]:
-        lower = [mul(inv_delta, t) for t in terms]
-        if not all(le(l, u) for l, u in zip(lower, q)):
-            raise ValidationError("interval lower bound exceeds the upper bound")
-        return generator_columns(sf, lower, inv_q)
+        return generator_columns(sf, [mul(inv_delta, t) for t in terms], inv_q)
 
     return columns
 

@@ -4,7 +4,17 @@ from pathlib import Path
 import pytest
 
 from conftest import mat, vec
-from tropspan import EnumerationBudgetExceeded, SpanProblem, cli, scheduling
+from tropspan import (
+    MAX_TIMES,
+    MIN_PLUS,
+    MIN_TIMES,
+    EnumerationBudgetExceeded,
+    SpanProblem,
+    ValidationError,
+    cli,
+    plotting,
+    scheduling,
+)
 from tropspan.cli import main
 from tropspan.plotting import render_span_svg
 
@@ -437,6 +447,20 @@ def test_plot_budget_none_means_no_cap():
     assert render_span_svg(prob, budget=None) == render_span_svg(prob)
 
 
+@pytest.mark.parametrize("sf", [MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda sf: sf.name)
+def test_plot_refuses_other_semifields(sf, monkeypatch):
+    # the picture is max-plus geometry: over max-times this span is a cone
+    # through the origin, not a 45-degree strip; refused before solving
+    def unsolved(*args, **kwargs):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(plotting, "complete_solution", unsolved)
+    prob = SpanProblem(mat([[2, 1], [1, 3]], sf), vec([1, 1], sf), vec([1, 1], sf))
+    with pytest.raises(ValidationError, match="^plotting needs a max-plus problem"):
+        render_span_svg(prob)
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
     text = Path(SPAN).read_text()
@@ -444,3 +468,24 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "solve")
     assert code == 0
     assert json.loads(out)["delta"] == 2
+
+
+@pytest.mark.parametrize("argv, candidates, code, start", [
+    (["enumerate", "--input", SCHEDULE], None, 2,
+     "error: expected a span problem, got schedule"),
+    (["plot", "--input", SCHEDULE], None, 2,
+     "error: expected a span problem, got schedule"),
+    (["verify", "--input", SPAN], {"kind": "candidates", "vectors": [[0, "-inf"]]},
+     1, "candidate 1: FAIL (not regular)"),
+    (["enumerate", "--input", SPAN, "--budget", "1"], None, 0,
+     "pruned selections not listed: total exceeds budget"),
+], ids=["enumerate-schedule", "plot-schedule", "verify-not-regular",
+        "enumerate-pruned-over-budget"])
+def test_rarely_taken_branches(tmp_path, capsys, argv, candidates, code, start):
+    if candidates is not None:
+        path = tmp_path / "candidates.json"
+        path.write_text(json.dumps(candidates))
+        argv = [*argv, "--candidates", str(path)]
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    assert any(line.startswith(start) for line in (out + err).splitlines())

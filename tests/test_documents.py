@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from conftest import Z, mat, vec
-from tropspan import MAX_PLUS, ParseError, ValidationError
+from tropspan import ParseError, ValidationError
 from tropspan.documents import (
     input_digest,
+    parse_candidates,
     parse_problem,
     parse_solution,
     scalar_from_json,
@@ -47,12 +48,12 @@ def test_zero_token_and_rationals():
 
 def test_scalar_json_round_trip():
     for value in (0, -7, Fraction(3, 4), Z):
-        encoded = scalar_to_json(value, MAX_PLUS)
-        assert scalar_from_json(encoded, "x", MAX_PLUS) == value
+        encoded = scalar_to_json(value)
+        assert scalar_from_json(encoded, "x") == value
     with pytest.raises(ParseError):
-        scalar_from_json(True, "x", MAX_PLUS)
+        scalar_from_json(True, "x")
     with pytest.raises(ParseError):
-        scalar_from_json("wat", "x", MAX_PLUS)
+        scalar_from_json("wat", "x")
 
 
 def test_parse_errors():
@@ -121,7 +122,6 @@ def test_solution_round_trip():
 
     doc = SolutionDocument(
         kind="span-solution",
-        semifield=MAX_PLUS,
         input_sha256="00" * 32,
         delta=2,
         enumeration_visited=1,
@@ -170,3 +170,54 @@ def test_refused_literal_is_located(literal, shown):
         parse_problem(text)
     assert str(info.value) == (f"line 2, column {column}: numeric literal "
                                f"{shown} needs more than 4000 digits")
+
+
+def _span_text(**fields):
+    data = json.loads((DATA / "span_demo.json").read_text())
+    data.update(fields)
+    return json.dumps(data)
+
+
+def _candidates(text, problem="span_demo.json"):
+    return parse_candidates(text, parse_problem((DATA / problem).read_text()))
+
+
+@pytest.mark.parametrize("read, error, start", [
+    (lambda: parse_problem(_span_text(A=[[2, None], [4, 1]])), ParseError,
+     "A[0][1]: None is not a scalar"),
+    (lambda: parse_problem(_span_text(p=5)), ParseError,
+     "p: expected a non-empty array of scalars"),
+    (lambda: parse_problem(_span_text(q=[])), ParseError,
+     "q: expected a non-empty array of scalars"),
+    (lambda: parse_problem(_span_text(A={"0": [2, 0]})), ParseError,
+     "A: expected a non-empty array of rows"),
+    (lambda: parse_problem(_span_text(A=[])), ParseError,
+     "A: expected a non-empty array of rows"),
+    (lambda: parse_problem(_span_text(A=[[2, 0], 4])), ParseError,
+     "A[1]: expected a non-empty row"),
+    (lambda: parse_problem(_span_text(A=[[], [4, 1]])), ParseError,
+     "A[0]: expected a non-empty row"),
+    (lambda: parse_problem(_span_text(metadata={"name": 1})), ParseError,
+     "metadata must map strings to strings"),
+    (lambda: parse_problem(_span_text(metadata=["name"])), ParseError,
+     "metadata must map strings to strings"),
+    (lambda: parse_problem(_span_text()).to_schedule_instance(), ValidationError,
+     "expected a schedule problem, got span"),
+    (lambda: _candidates("[]"), ParseError,
+     "candidates: top level must be an object"),
+    (lambda: _candidates('{"kind": "vectors"}'), ParseError,
+     "candidates file must have kind 'candidates'"),
+    (lambda: _candidates('{"kind": "candidates", "vectors": {}}'), ParseError,
+     "candidates: expected a non-empty 'vectors' array"),
+    (lambda: _candidates('{"kind": "candidates", "schedules": [{"x": [0]}]}',
+                         "schedule_demo.json"), ParseError,
+     "schedules[0]: expected an object with x and y"),
+], ids=["scalar-null", "vector-not-a-list", "vector-empty", "matrix-not-a-list",
+        "matrix-empty", "row-not-a-list", "row-empty", "metadata-value",
+        "metadata-not-an-object", "span-as-schedule", "candidates-top-level",
+        "candidates-kind", "candidates-vectors", "candidates-pair"])
+def test_document_refusals(read, error, start):
+    # each refusal is a TropicalError, which the command line exits 2 on
+    with pytest.raises(error) as info:
+        read()
+    assert str(info.value).startswith(start)

@@ -362,6 +362,27 @@ def test_delta_detects_independence():
     assert delta(s1, vec([0, 5])) == 4  # residual gap of the best combination
 
 
+def test_delta_is_zero_exactly_when_the_residual_is():
+    # delta tests only b^- A for zero: a finite entry j of it needs finite
+    # a_ij and b_i, and then entry i of A (b^- A)^- is finite
+    rng = random.Random(67)
+    zero = finite = 0
+    for sf in SEMIFIELDS_ALL:
+        for zeros in (0.3, 0.6, 0.85):
+            for _ in range(60):
+                m, n, _ = _kernel_shapes(rng)
+                a = TropMatrix(sf, [_kernel_entries(rng, sf, n, zeros)
+                                    for _ in range(m)])
+                b = TropVector(sf, _kernel_entries(rng, sf, m, zeros))
+                if a.is_zero() or b.is_zero():
+                    continue
+                residual_is_zero = (b.conj() @ a).is_zero()
+                assert (delta(a, b) is Z) == residual_is_zero
+                zero += residual_is_zero
+                finite += not residual_is_zero
+    assert zero > 20 and finite > 100
+
+
 def test_reduce_drops_dependent_column():
     s = mat([[0, -1, 0], [Z, 0, -2]])
     reduced, kept = reduce_to_independent(s)

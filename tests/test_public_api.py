@@ -1,13 +1,20 @@
-"""Every name that benchmark/ and tools/ import from tropspan resolves.
+"""Every name that benchmark/ and tools/ import from tropspan resolves, and
+the benchmark's traced calls run.
 
-The scripts are parsed with ast, never imported, and imports nested in
-functions count too: deleting a public name they use fails here rather than
-in a benchmark run.
+The scripts are parsed with ast, and imports nested in functions count too:
+deleting a public name they use fails here rather than in a benchmark run.
+The traced mirror of the in-process workloads calls library functions with
+its own argument shapes, so it is also run once on the sample problems.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+from tropspan import complete_solution, solve_schedule
+from tropspan.documents import parse_problem
+from tropspan.plotting import render_span_svg
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,3 +54,34 @@ def test_benchmark_and_tools_imports_resolve():
                for path, module, name in sorted(imports, key=str)
                if not _resolves(module, name)]
     assert not missing, missing
+
+
+def test_benchmark_traced_calls_run_on_the_samples(monkeypatch):
+    # as cliround.traced_layers runs them: each problem through the traced
+    # mirror, and the picture of each two-column span problem
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    try:
+        inprocess = importlib.import_module("inprocess")
+        trace = inprocess.Trace()
+        kinds = set()
+        for path in sorted((ROOT / "tests" / "data").glob("*.json")):
+            doc = parse_problem(path.read_text(encoding="utf-8"))
+            kinds.add(doc.kind)
+            if doc.kind == "span":
+                prob = doc.to_span_problem()
+                sol = inprocess.traced_span(
+                    tuple(doc.entries[k] for k in ("A", "p", "q")), trace)
+                assert sol.generators == complete_solution(prob).generators
+                if prob.A.cols == 2:
+                    assert render_span_svg(prob).startswith("<svg")
+            else:
+                delta, _, _ = inprocess.traced_schedule(
+                    tuple(doc.entries[k] for k in "ABCf"), trace)
+                assert delta == solve_schedule(doc.to_schedule_instance()).delta
+    finally:
+        for name in ("inprocess", "corpus", "harness", "oracle"):
+            sys.modules.pop(name, None)
+    assert kinds == {"span", "schedule"}
+    assert trace.values["scheduling.reduced_problem_ms"] > 0
+    assert trace.values["linalg.reduce_ms"] > 0

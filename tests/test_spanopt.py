@@ -419,6 +419,27 @@ def test_carried_terms_equal_the_fold():
     assert zero_weights > 50
 
 
+def test_every_carried_bound_lies_below_q():
+    # the S1 builder checks no l <= q: sparsification keeps a_ij only if
+    # p_i a_ij^-1 <= Delta q_j, so each carried sum t_j has Delta^-1 t_j <= q_j
+    rng = random.Random(105)
+    tight = 0
+    problems = [_half_unit_problem(rng, sf)
+                for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES)
+                for _ in range(50)]
+    problems += [random_span_problem(rng, max_dim=8) for _ in range(100)]
+    for prob in problems:
+        sf = prob.semifield
+        inv_delta = sf.inv(prob.delta)
+        for prune in (True, False):
+            for _, terms in islice(_selections(
+                    prob.sparsified, prob.p, prune, None), 300):
+                lower = [sf.mul(inv_delta, t) for t in terms]
+                assert all(sf.le(l, qj) for l, qj in zip(lower, prob.q))
+                tight += any(l == qj for l, qj in zip(lower, prob.q))
+    assert tight > 100
+
+
 def _reference_sparsified(prob):
     # the paper's threshold a_ij >= Delta^-1 p_i q_j^-1, with mul and le
     sf = prob.semifield
