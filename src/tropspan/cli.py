@@ -13,7 +13,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import documents as docs
@@ -23,7 +22,7 @@ from .errors import (
     TropicalError,
     ValidationError,
 )
-from .plotting import render_span_svg
+from .plotting import render_span_svg, window_scale
 from .scheduling import (
     check_schedule,
     compact_generators,
@@ -316,9 +315,10 @@ def _parse_args(argv) -> argparse.Namespace:
     if args.budget < 1:
         parser.error(f"--budget must be at least 1, got {args.budget}")
     if args.command == "plot":
-        lo, hi = args.window
-        if not -math.inf < lo < hi < math.inf:
-            parser.error(f"--window needs finite LO < HI, got {lo} {hi}")
+        try:
+            window_scale(*args.window)
+        except ValidationError as exc:
+            parser.error(f"--{exc}")  # "--window needs ..."
     return args
 
 

@@ -270,9 +270,9 @@ def parse_problem(text: str) -> ProblemDocument:
     data = _load_json(text)
     kind = _header(data, (KIND_SPAN, KIND_SCHEDULE))
     allowed = set(_FIELDS[kind]) | {"kind", "semifield", "metadata"}
-    unexpected = sorted(set(data) - allowed)
-    if unexpected:
-        raise ParseError(f"unexpected fields: {', '.join(unexpected)}")
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ParseError(f"unknown fields: {', '.join(unknown)}")
     entries = _read_entries(data, kind)
 
     metadata = data.get("metadata", {})

@@ -74,12 +74,10 @@ class ValidationError(TropicalError):
 class EnumerationBudgetExceeded(TropicalError):
     """Selection enumeration hit the configured cap.
 
-    Attributes carry what was gathered before the cap: ``visited`` is the
-    number of selections emitted, ``partial`` the selections themselves
-    (may be None when raised below the enumeration layer).
+    ``visited`` is the number of selections emitted before the cap, which
+    equals the budget.
     """
 
-    def __init__(self, message: str, *, visited: int = 0, partial=None):
+    def __init__(self, message: str, *, visited: int):
         super().__init__(message)
         self.visited = visited
-        self.partial = partial

@@ -11,6 +11,9 @@ mirroring the usual hand-drawn figures.
 
 from __future__ import annotations
 
+import math
+import sys
+
 from .errors import UnsupportedDimension, ValidationError
 from .semifield import MAX_PLUS, ZERO
 from .solvers import interval_to_generators
@@ -23,6 +26,21 @@ from .spanopt import (
 
 _INF = float("inf")
 _SIZE = 520  # width and height of the picture, in pixels
+_MARGIN = 30.0  # blank border on each side, in pixels
+_TICKS = 25  # hatch ticks across the window, per boundary line
+
+
+def window_scale(lo: float, hi: float) -> float:
+    """Pixels per unit of the viewing window [lo, hi].  Refused unless
+    lo < hi and both hi - lo and the scale are finite: a width beyond the
+    float range overflows, and so does the scale of a subnormal width."""
+    if lo < hi:
+        width = hi - lo
+        scale = (_SIZE - 2 * _MARGIN) / width
+        if math.isfinite(width) and math.isfinite(scale):
+            return scale
+    raise ValidationError(f"window needs finite LO < HI, with finite HI - LO "
+                          f"and pixels per unit, got {lo} {hi}")
 
 
 def _offsets(columns) -> tuple[float, float]:
@@ -73,17 +91,19 @@ def _region_polygon(lo: float, hi: float, w0: float, w1: float):
 class _Svg:
     def __init__(self, window: tuple[float, float]):
         self.w0, self.w1 = window
-        self.margin = 30.0
-        self.scale = (_SIZE - 2 * self.margin) / (self.w1 - self.w0)
+        self.scale = window_scale(self.w0, self.w1)
         self.parts: list[str] = []
 
     def sx(self, x: float) -> float:
-        return self.margin + (x - self.w0) * self.scale
+        return _MARGIN + (x - self.w0) * self.scale
 
     def sy(self, y: float) -> float:
-        return _SIZE - self.margin - (y - self.w0) * self.scale
+        return _SIZE - _MARGIN - (y - self.w0) * self.scale
 
     def fmt(self, v: float) -> str:
+        if not math.isfinite(v):
+            raise ValidationError(
+                f"plotting needs pixel coordinates within the float range, got {v}")
         return f"{v:.2f}"
 
     def line(self, a, b, *, width=1.0, color="#333", dash=None, marker=False):
@@ -109,10 +129,13 @@ class _Svg:
 
     def hatches(self, c: float, inward: int):
         """Short ticks along the diagonal x2 - x1 = c on its inner side."""
-        step = (self.w1 - self.w0) / 24.0
+        step = (self.w1 - self.w0) / (_TICKS - 1)
         tick = step * 0.45 * inward
         t = self.w0
-        while t <= self.w1:
+        # bounded by count too: far from zero, t + step may round back to t
+        for _ in range(_TICKS):
+            if t > self.w1:
+                break
             x, y = t, t + c
             if self.w0 <= y <= self.w1:
                 self.line((x, y), (x + tick, y), width=0.7, color="#555")
@@ -154,11 +177,20 @@ def render_span_svg(prob: SpanProblem, *, window: tuple[float, float] = (-10, 10
     if prob.A.cols != 2:
         raise UnsupportedDimension(
             f"plotting needs a 2-column problem, got {prob.A.cols} columns")
+    svg = _Svg(window)
     interval = extended_interval(prob)
     sol = complete_solution(prob, budget=budget)
     s0 = sol.generators.generators
+    extended = interval_to_generators(interval).generators
+    # every scalar drawn is converted to a float
+    drawn = [*interval.lower, *interval.upper,
+             *(v for rows in (s0.entries, extended.entries) for row in rows
+               for v in row)]
+    if any(v is not ZERO and not abs(v) <= sys.float_info.max for v in drawn):
+        raise ValidationError(
+            f"plotting needs scalars within the float range "
+            f"+-{sys.float_info.max:.4g}")
 
-    svg = _Svg(window)
     w0, w1 = svg.w0, svg.w1
     # axes
     svg.line((w0, 0), (w1, 0), width=1.0, color="#999")
@@ -179,8 +211,7 @@ def render_span_svg(prob: SpanProblem, *, window: tuple[float, float] = (-10, 10
     # extended strip between x' and x'' (a subset of the region above);
     # its width is read off the generators of I (+) g h^-, whose extreme
     # offsets are g2 - h1 and h2 - g1
-    extended = interval_to_generators(interval)
-    ext_lo, ext_hi = _offsets(extended.generators.columns())
+    ext_lo, ext_hi = _offsets(extended.columns())
     ext_region = _region_polygon(ext_lo, ext_hi, w0, w1)
     if ext_region:
         svg.polygon(ext_region, fill="#e0a060", opacity="0.30")

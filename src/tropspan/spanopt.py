@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -324,23 +323,19 @@ def complete_solution(prob: SpanProblem, *,
     ray already pooled is skipped, so memory follows the distinct rays.
     extremal_rays keeps the extremal ones, and the surviving basis is put
     into canonical column order, so repeated runs with the same flags print
-    the identical matrix.  A budget overrun re-walks for exc.partial.
+    the identical matrix.  A budget overrun ends the one walk: the
+    EnumerationBudgetExceeded of _selections propagates as raised.
     """
     sf, sparse = prob.semifield, prob.sparsified
     columns = _s1_columns(prob)
     rays, seen = {}, set()
     count = 0
-    try:
-        for count, (_, terms) in enumerate(_selections(
-                sparse, prob.p, prune, budget), 1):
-            if terms not in seen:
-                seen.add(terms)
-                for col in columns(terms):
-                    rays.setdefault(ray_key(sf, col), col)
-    except EnumerationBudgetExceeded as exc:
-        exc.partial = [SelectionMatrix(sparse.shape, c) for c, _ in islice(
-            _selections(sparse, prob.p, prune, None), exc.visited)]
-        raise
+    for count, (_, terms) in enumerate(_selections(
+            sparse, prob.p, prune, budget), 1):
+        if terms not in seen:
+            seen.add(terms)
+            for col in columns(terms):
+                rays.setdefault(ray_key(sf, col), col)
     del seen
     pool = list(rays.values())
     kept = [pool[k] for k in extremal_rays(sf, pool)]

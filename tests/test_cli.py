@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -186,7 +187,10 @@ def test_command_refuses_options_it_does_not_read(tmp_path, capsys, command,
 
 
 def test_plot_window_must_be_finite_and_increasing(tmp_path, capsys):
-    for window in (("5", "-5"), ("3", "3"), ("nan", "1"), ("0", "inf")):
+    # the last two overflow: the scale of a subnormal width, and the width
+    # from a 309-digit LO, which argparse reads as a negative number
+    for window in (("5", "-5"), ("3", "3"), ("nan", "1"), ("0", "inf"),
+                   ("0", "1e-320"), ("-1" + "0" * 308, "1e308")):
         code, err = refused(capsys, "plot", "--input", SPAN, "--output",
                             str(tmp_path / "plot.svg"), "--window", *window)
         assert code == 2
@@ -436,6 +440,48 @@ def test_plot_degenerate_interval(tmp_path, capsys):
     assert code == 0
     svg = (tmp_path / "ray.svg").read_text()
     assert "<svg" in svg
+
+
+def test_plot_far_narrow_window_ends(tmp_path, capsys):
+    # one step across the window is below half the float spacing at 1e17, so
+    # the hatch ticks no longer advance; their count still ends the loop
+    out_path = tmp_path / "plot.svg"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "plot", "--input", SPAN, "--output", str(out_path),
+                       "--window", "1e17", "1.0000000000000002e17")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0, err
+    svg = out_path.read_text()
+    assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("q, message", [
+    ([0, 10 ** 400], "plotting needs scalars within the float range"),
+    ([0, 10 ** 308], "plotting needs pixel coordinates within the float range"),
+], ids=["scalar", "pixel"])
+def test_plot_refuses_values_beyond_float_range(tmp_path, capsys, q, message):
+    # solve takes the problem; plot refuses it before writing
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"kind": "span", "A": [[0, 0], [0, 0]],
+                                "p": [0, 0], "q": q}))
+    assert run(capsys, "solve", "--input", str(path))[0] == 0
+    out_path = tmp_path / "far.svg"
+    code, _, err = run(capsys, "plot", "--input", str(path),
+                       "--output", str(out_path))
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not out_path.exists()
+
+
+def test_render_refuses_a_window_before_solving(monkeypatch):
+    def unsolved(*args, **kwargs):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(plotting, "complete_solution", unsolved)
+    prob = SpanProblem(mat([[0, 0], [0, 0]]), vec([0, 0]), vec([0, 0]))
+    for window in ((1, 1), (0, 1e-320), (-1e308, 1e308)):
+        with pytest.raises(ValidationError, match="^window needs finite LO < HI"):
+            render_span_svg(prob, window=window)
 
 
 def test_plot_budget_none_means_no_cap():

@@ -67,8 +67,9 @@ def test_parse_errors():
     with pytest.raises(ParseError) as info:
         parse_problem('{"kind": "span", "A": [[1, 2], [3]], "p": [0, 0], "q": [0, 0]}')
     assert "ragged" in str(info.value)
-    # unexpected field
-    with pytest.raises(ParseError):
+    # unexpected field: not worded like the command line's catch-all refusal,
+    # "error: unexpected <TypeName>: ..."
+    with pytest.raises(ParseError, match="^unknown fields: x$"):
         parse_problem('{"kind": "span", "A": [[1]], "p": [0], "q": [0], "x": 1}')
     # missing field
     with pytest.raises(ParseError):

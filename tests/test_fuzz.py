@@ -2,13 +2,16 @@
 
 Structural and byte mutations of the sample files in tests/data go through
 solve, enumerate, plot and verify; verify also reads mutated candidates files
-and mutated solution documents.  Every run must end in a documented exit
-code (1 only from verify), never in the catch-all "unexpected" refusal, and
-within a time bound.
+and mutated solution documents.  A second loop keeps the files and draws the
+options instead: plot windows from edge floats, and edge budgets for solve
+and enumerate.  Every run must end in a documented exit code (1 only from
+verify), never in the catch-all "unexpected" refusal, and within a time
+bound; a picture plot writes holds no nan or inf coordinate.
 """
 
 import copy
 import json
+import math
 import random
 import re
 import time
@@ -28,8 +31,8 @@ RUNS = 600
 # loaded two-core machine
 SECONDS_PER_RUN = 2.0
 # what main prints for an exception it has no handler for, named by its type;
-# "unexpected fields: ..." is a parse refusal
-CATCH_ALL = re.compile(r"error: unexpected [A-Z]\w*: ")
+# no refusal starts with "unexpected" ("unknown fields: ..." is a parse one)
+CATCH_ALL = re.compile(r"error: unexpected ")
 
 ODD_VALUES = [None, True, False, 0, -1, 7, 2.5, 1e300, 10 ** 40, -10 ** 40,
               "1/2", "-3/4", "-inf", "+inf", "inf", "nan", "1/0", "1e5", "",
@@ -162,3 +165,75 @@ def test_mutated_inputs_end_in_a_documented_exit(tmp_path, capsys):
     for command, passed in (("solve", 0), ("enumerate", 0), ("plot", 0),
                             ("verify", 1)):
         assert codes[command, passed] > 5 and codes[command, 2] > 5, codes
+
+
+# a span problem the parser takes whose 401-digit q_2 is beyond float range
+BEYOND_FLOAT = json.dumps({"kind": "span", "A": [[0, 0], [0, 0]], "p": [0, 0],
+                           "q": [0, 10 ** 400]}).encode()
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308,
+               1e-300, 1e-15, 1.0, -1.0, 10.0, -10.0, 2.0 ** 53, 2.0 ** 53 + 2,
+               -2.0 ** 53, 1e17, 1.0000000000000002e17, -1e17, 1e300, 1e308,
+               -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+               math.inf, -math.inf, math.nan]
+EDGE_WIDTHS = [5e-324, 1e-320, 1e-300, 1e-15, 1.0, 16.0, 1e17, 1e308]
+EDGE_BUDGETS = ["1", "2", "3", "0", "-1", "-0", "007", " 5", "", "1e3", "x",
+                str(2 ** 63), str(10 ** 18), "9" * 400, "9" * 5000]
+OPTION_RUNS = 300
+
+
+def _float_option(x: float) -> str:
+    # a finite value in fixed point, exact enough to read back the same
+    # float, so argparse takes a negative one as a number, not an option
+    return f"{x:.400f}" if math.isfinite(x) else repr(x)
+
+
+def _window(rng) -> list[str]:
+    lo = rng.choice(EDGE_FLOATS)
+    way = rng.randrange(3)
+    if way == 0:
+        hi = rng.choice(EDGE_FLOATS)
+    elif way == 1:
+        hi = lo + rng.choice(EDGE_WIDTHS)
+    else:
+        hi = math.nextafter(lo, math.inf)
+    return [_float_option(lo), _float_option(hi)]
+
+
+def test_edge_options_end_in_a_documented_exit(tmp_path, capsys):
+    problem_path, output = tmp_path / "problem", tmp_path / "output"
+    problems = {"span_demo": SAMPLES["span_demo"], "beyond_float": BEYOND_FLOAT}
+    rng = random.Random(29)
+    codes = Counter()
+    for run in range(OPTION_RUNS):
+        command = ("plot", "plot", "solve", "enumerate")[run % 4]
+        if command == "plot":
+            name = rng.choice(sorted(problems))
+            argv = ["--window", *_window(rng)]
+        else:
+            name = rng.choice(ACCEPTED[command] + ["beyond_float"])
+            argv = ["--budget", rng.choice(EDGE_BUDGETS)]
+            if rng.random() < 0.5:
+                argv.append("--exhaustive")
+        problem_path.write_bytes(problems.get(name) or SAMPLES[name])
+        argv = [command, "--input", str(problem_path), "--output", str(output),
+                *argv]
+        output.unlink(missing_ok=True)
+
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the option
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        case = f"run {run}: {' '.join(a[:40] for a in argv[5:])} on {name}"
+        assert code in (0, 2, 3, 4), case
+        assert not CATCH_ALL.match(err), f"{case}: {err}"
+        assert elapsed < SECONDS_PER_RUN, f"{case}: {elapsed:.2f} s"
+        if command == "plot" and code == 0:
+            svg = output.read_text()
+            assert "nan" not in svg and "inf" not in svg, case
+        codes[command, code] += 1
+    # both refusals and pictures, and budget overruns
+    assert codes["plot", 0] > 5 and codes["plot", 2] > 5, codes
+    assert codes["solve", 4] > 5 and codes["enumerate", 0] > 5, codes

@@ -140,7 +140,7 @@ def test_enumerate_budget():
     assert info.value.visited == 3
     with pytest.raises(EnumerationBudgetExceeded) as info:
         complete_solution(prob, budget=1)
-    assert len(info.value.partial) == 1
+    assert info.value.visited == 1
 
 
 def test_enumerate_checks_arguments_at_call_time():
@@ -524,7 +524,7 @@ def test_s1_built_once_per_distinct_bound(monkeypatch):
     assert sol.generators.generators == canonical_column_order(whole)
 
 
-def test_budget_overrun_lists_the_emitted_selections():
+def test_budget_overrun_counts_the_emitted_selections():
     rng = random.Random(83)
     for _ in range(100):
         prob = random_span_problem(rng, max_dim=6)
@@ -535,7 +535,29 @@ def test_budget_overrun_lists_the_emitted_selections():
         with pytest.raises(EnumerationBudgetExceeded) as info:
             complete_solution(prob, budget=len(walk) - 1)
         assert info.value.visited == len(walk) - 1
-        assert [s.chosen_col for s in info.value.partial] == walk[:-1]
+
+
+def test_budget_overrun_walks_once(monkeypatch):
+    # the overrun ends the one walk that complete_solution pools from
+    rng = random.Random(5)
+    m = 1200
+    prob = SpanProblem(mat([[rng.randint(-5, 5) for _ in range(3)]
+                            for _ in range(m)]), vec([0] * m), vec([0] * 3))
+    walks = []
+
+    def counting(*args):
+        walks.append(args)
+        return _selections(*args)
+
+    monkeypatch.setattr(spanopt, "_selections", counting)
+    for prune in (True, False):
+        walks.clear()
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            complete_solution(prob, budget=20, prune=prune)
+        assert len(walks) == 1
+        assert info.value.visited == 20
+    with pytest.raises(TypeError):
+        EnumerationBudgetExceeded("more than 1 selections", visited=1, partial=[])
 
 
 def test_complete_solution_golden():

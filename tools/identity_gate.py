@@ -6,10 +6,9 @@ Prints one sha256 per workload and seed, and one for the command line:
 
   span-square, span-tall   the sparsified matrix; complete_solution pruned,
                            and exhaustive under a budget of 3000 (visited
-                           and the partial listing when that budget is
-                           overrun); the chosen_col listing of
-                           enumerate_selections, pruned in full and the
-                           first 3000 exhaustive ones
+                           when that budget is overrun); the chosen_col
+                           listing of enumerate_selections, pruned in full
+                           and the first 3000 exhaustive ones
   schedule-jit             solve_schedule and latest_schedule
   cli                      stdout, stderr and exit code of solve (plain,
                            --exhaustive, --compact), enumerate (plain,
@@ -113,8 +112,7 @@ def span_lines(texts):
         try:
             sol = complete_solution(prob, prune=False, budget=OVERRUN_BUDGET)
         except EnumerationBudgetExceeded as exc:
-            yield typed(("overrun", exc.visited,
-                         tuple(s.chosen_col for s in exc.partial)))
+            yield typed(("overrun", exc.visited))
         else:
             yield typed((sol.delta, sol.generators.generators.entries,
                          sol.enumerated_count, sol.pruned_count))
