@@ -36,6 +36,7 @@ from .spanopt import (
     DEFAULT_ENUMERATION_BUDGET,
     SpanProblem,
     attains_minimum,
+    check_budget,
     complete_solution,
     enumerate_selections,
     extended_interval,
@@ -211,44 +212,34 @@ def cmd_enumerate(args) -> int:
     text = _read(args.input)
     doc = docs.parse_problem(text)
     prob = doc.to_span_problem()
-    sf = prob.semifield
-    sparse = prob.sparsified
+    sparse, exhaustive = prob.sparsified, args.exhaustive
     total = selection_count(sparse, prob.p)
-    emitted = list(enumerate_selections(sparse, prob.p, prune=True,
-                                        budget=args.budget))
+    if exhaustive:
+        check_budget(total, args.budget)
+    emitted = list(enumerate_selections(sparse, prob.p, budget=args.budget))
     emitted_keys = {sel.chosen_col for sel in emitted}
-
-    lines = [f"delta: {sf.format_scalar(prob.delta)}", "sparsified:",
-             repr(sparse),
+    # the pruned walk never visits a pruned selection, so listing one takes
+    # the exhaustive walk
+    every = (enumerate_selections(sparse, prob.p, prune=False,
+                                  budget=args.budget)
+             if exhaustive or len(emitted) < total <= args.budget else ())
+    lines = [f"delta: {prob.semifield.format_scalar(prob.delta)}",
+             "sparsified:", repr(sparse),
              f"selections: {len(emitted)} emitted, "
              f"{total - len(emitted)} pruned, {total} total"]
-
-    def describe(index, sel, status=None):
-        cols = [j + 1 for j in sel.chosen_col]
-        suffix = f" [{status}]" if status else ""
-        lines.extend([f"selection {index}: rows -> columns {cols}{suffix}",
+    for i, sel in enumerate(every if exhaustive else emitted, start=1):
+        status = "emitted" if sel.chosen_col in emitted_keys else "pruned"
+        lines.extend([f"selection {i}: rows -> columns "
+                      f"{[j + 1 for j in sel.chosen_col]}"
+                      + (f" [{status}]" if exhaustive else ""),
                       "A1:", repr(sel.materialize(sparse)),
                       "S1:", repr(selection_generators(sel, prob).generators)])
-
-    if args.exhaustive:
-        every = list(enumerate_selections(sparse, prob.p, prune=False,
-                                          budget=args.budget))
-        for i, sel in enumerate(every, start=1):
-            status = "emitted" if sel.chosen_col in emitted_keys else "pruned"
-            describe(i, sel, status)
-    else:
-        for i, sel in enumerate(emitted, start=1):
-            describe(i, sel)
-        if total - len(emitted) > 0:
-            if total <= args.budget:
-                every = enumerate_selections(sparse, prob.p, prune=False,
-                                             budget=args.budget)
-                for sel in every:
-                    if sel.chosen_col not in emitted_keys:
-                        cols = [j + 1 for j in sel.chosen_col]
-                        lines.append(f"pruned selection: rows -> columns {cols}")
-            else:
-                lines.append("pruned selections not listed: total exceeds budget")
+    if not exhaustive:
+        lines.extend(f"pruned selection: rows -> columns "
+                     f"{[j + 1 for j in sel.chosen_col]}"
+                     for sel in every if sel.chosen_col not in emitted_keys)
+        if total > args.budget:
+            lines.append("pruned selections not listed: total exceeds budget")
     _write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -75,7 +75,9 @@ class EnumerationBudgetExceeded(TropicalError):
     """Selection enumeration hit the configured cap.
 
     ``visited`` is the number of selections emitted before the cap, which
-    equals the budget.
+    equals the budget.  An exhaustive family larger than the budget is
+    refused before any walk; ``visited`` is then still the budget, the count
+    the walk would have reached.
     """
 
     def __init__(self, message: str, *, visited: int):

@@ -152,20 +152,31 @@ class _Svg:
 
 
 def _draw_ray(svg: _Svg, col, label: str, *, color="#111"):
+    """The segment from the origin to the column's tip, clipped to the
+    window (Liang-Barsky), and its label at the clipped end; nothing for a
+    segment that misses the window.  A zero component sits at infinity: the
+    ray then runs dashed along the other axis, its label nudged off it."""
     a, b = col[0], col[1]
     if a is ZERO:
-        svg.line((0, 0), (svg.w0 * 0.9, 0), width=1.8, color=color,
-                 dash="4 3", marker=True)
-        svg.text((svg.w0 * 0.9, 0.4), label, color=color)
+        tip, nudge, dash = (svg.w0 * 0.9, 0), (0, 0.4), "4 3"
+    elif b is ZERO:
+        tip, nudge, dash = (0, svg.w0 * 0.9), (0.4, 0), "4 3"
+    else:
+        tip, nudge, dash = (float(a), float(b)), (0, 0), None
+    # the segment is t * tip for 0 <= t <= 1; each axis bounds t
+    t0, t1 = 0, 1
+    for v in tip:
+        if v:
+            ta, tb = sorted((svg.w0 / v, svg.w1 / v))
+            t0, t1 = max(t0, ta), min(t1, tb)
+        elif not svg.w0 <= 0 <= svg.w1:
+            return
+    if t0 > t1:
         return
-    if b is ZERO:
-        svg.line((0, 0), (0, svg.w0 * 0.9), width=1.8, color=color,
-                 dash="4 3", marker=True)
-        svg.text((0.4, svg.w0 * 0.9), label, color=color)
-        return
-    tip = (float(a), float(b))
-    svg.line((0, 0), tip, width=1.8, color=color, marker=True)
-    svg.text(tip, label, color=color)
+    start = (0, 0) if t0 == 0 else (t0 * tip[0], t0 * tip[1])
+    end = tip if t1 == 1 else (t1 * tip[0], t1 * tip[1])
+    svg.line(start, end, width=1.8, color=color, dash=dash, marker=True)
+    svg.text((end[0] + nudge[0], end[1] + nudge[1]), label, color=color)
 
 
 def render_span_svg(prob: SpanProblem, *, window: tuple[float, float] = (-10, 10),
@@ -201,12 +212,12 @@ def render_span_svg(prob: SpanProblem, *, window: tuple[float, float] = (-10, 10
     region = _region_polygon(lo, hi, w0, w1)
     if region:
         svg.polygon(region, fill="#7ba7d7")
-    if hi < _INF:
-        svg.line((w0, w0 + hi), (w1, w1 + hi), width=2.2, color="#333")
-        svg.hatches(hi, inward=1)
-    if lo > -_INF:
-        svg.line((w0, w0 + lo), (w1, w1 + lo), width=2.2, color="#333")
-        svg.hatches(lo, inward=-1)
+    # a diagonal x2 - x1 = c crosses the window iff |c| < HI - LO; one far
+    # outside it would overflow the pixel coordinates
+    for c, inward in ((hi, 1), (lo, -1)):
+        if abs(c) < w1 - w0:
+            svg.line((w0, w0 + c), (w1, w1 + c), width=2.2, color="#333")
+            svg.hatches(c, inward=inward)
 
     # extended strip between x' and x'' (a subset of the region above);
     # its width is read off the generators of I (+) g h^-, whose extreme
@@ -216,7 +227,7 @@ def render_span_svg(prob: SpanProblem, *, window: tuple[float, float] = (-10, 10
     if ext_region:
         svg.polygon(ext_region, fill="#e0a060", opacity="0.30")
     for off in sorted({ext_lo, ext_hi}):
-        if -_INF < off < _INF:
+        if abs(off) < w1 - w0:
             svg.line((w0, w0 + off), (w1, w1 + off), width=1.2,
                      color="#b3541e", dash="6 4")
 

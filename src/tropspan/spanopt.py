@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -123,24 +123,24 @@ def extended_interval(prob: SpanProblem) -> IntervalSet:
     return IntervalSet(lower=lower, upper=prob.q)
 
 
-@dataclass(frozen=True)
-class SelectionMatrix:
-    """One nonzero entry kept per row of the sparsified matrix."""
+class SelectionMatrix(NamedTuple):
+    """One nonzero entry kept per row of the sparsified matrix, with the
+    terms its rows sum, as enumerate_selections yields it."""
 
-    base_shape: tuple[int, int]
     chosen_col: tuple[int, ...]
+    terms: tuple
 
     def materialize(self, sparse: TropMatrix) -> TropMatrix:
-        if sparse.shape != self.base_shape:
-            raise ShapeMismatch(f"selection for shape {self.base_shape}, "
-                                f"matrix is {sparse.shape}")
-        rows = []
-        for i, j in enumerate(self.chosen_col):
-            entry = sparse.entries[i][j]
-            assert entry is not ZERO
-            rows.append([entry if k == j else ZERO
-                         for k in range(sparse.cols)])
+        _check_shape(self, sparse.shape)
+        rows = [[row[j] if k == j else ZERO for k in range(sparse.cols)]
+                for row, j in zip(sparse.entries, self.chosen_col)]
         return _trusted(TropMatrix, sparse.semifield, rows)
+
+
+def _check_shape(sel: SelectionMatrix, shape: tuple[int, int]) -> None:
+    walked = (len(sel.chosen_col), len(sel.terms))
+    if walked != shape:
+        raise ShapeMismatch(f"selection for shape {walked}, matrix is {shape}")
 
 
 def selection_count(sparse: TropMatrix, p: TropVector) -> int:
@@ -174,25 +174,35 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
     a_lj p_l^-1 >= a_kj p_k^-1 >= a_ij p_i^-1, so i's scan forced it or
     found it forced, and nothing has been released since: rows i..k-1 keep
     their choices while k is chosen.
+
+    Each selection carries its terms: entry j sums the ratios
+    t_ij = p_i a_ij^-1 of the rows i that chose j.  A row's term is taken
+    when the walk picks it, and each frame keeps the sums from before its
+    row's choice.  Row k is forced to j iff t_kj <= t_ij, the dominance rule
+    divided through, so a forced row cannot change the sum and is not added.
+
+    Past budget selections the walk raises EnumerationBudgetExceeded.
     """
     if not sparse.is_row_regular():
         raise NotRegularMatrix("selection enumeration needs a row-regular matrix")
     if p.dim != sparse.rows:
         raise ShapeMismatch(f"p has dim {p.dim}, matrix has {sparse.rows} rows")
-    shape = sparse.shape
-    return (SelectionMatrix(shape, chosen)
-            for chosen, _ in _selections(sparse, p, prune, budget))
+    return _selections(sparse, p, prune, budget)
+
+
+def check_budget(count: int, budget: int | None) -> None:
+    """Refuse count selections over the budget, with visited = budget.  The
+    walk checks each selection before yielding it.  A walk with prune=False
+    yields exactly selection_count selections, so a caller checks that count
+    before walking and refuses as the walk would, without walking."""
+    if budget is not None and count > budget:
+        raise EnumerationBudgetExceeded(f"more than {budget} selections",
+                                        visited=budget)
 
 
 def _selections(sparse: TropMatrix, p: TropVector, prune: bool,
-                budget: int | None) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """The walk of enumerate_selections, yielding each chosen_col with its
-    terms: entry j sums the ratios t_ij = p_i a_ij^-1 of the rows i that
-    chose j.  A row's term is taken when the walk picks it, and each frame
-    keeps the sums from before its row's choice.  Row k is forced to j iff
-    t_kj <= t_ij, the dominance rule divided through, so a forced row cannot
-    change the sum and is not added.  Its callers check the arguments.
-    """
+                budget: int | None) -> Iterator[SelectionMatrix]:
+    """The walk of enumerate_selections, unchecked."""
     sf = sparse.semifield
     add, ratio, le = sf.add, sf.ratio, sf.order_le
     m, n = sparse.shape
@@ -233,11 +243,9 @@ def _selections(sparse: TropMatrix, p: TropVector, prune: bool,
                         pick(i, j, terms, released)
                 choice[i] = j
                 i += 1
-            if budget is not None and emitted >= budget:
-                raise EnumerationBudgetExceeded(
-                    f"more than {budget} selections", visited=emitted)
             emitted += 1
-            yield tuple(choice), tuple(terms)
+            check_budget(emitted, budget)
+            yield SelectionMatrix(tuple(choice), tuple(terms))
             while frames:
                 i, rest, released, saved = frames[-1]
                 while released:
@@ -275,19 +283,11 @@ def _s1_columns(prob: SpanProblem) -> Callable[[Sequence], list[tuple]]:
 
 
 def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSet:
-    """Span I (+) Delta^-1 A1^- p q^- contributed by one selection.
-
-    Sums the selection's terms p_i a_ij^-1 over all its rows, then builds
-    S1 with the column builder that complete_solution pools from.
-    """
-    if sel.base_shape != prob.A.shape:
-        raise ShapeMismatch(f"selection for shape {sel.base_shape}")
-    sf, terms = prob.semifield, [ZERO] * prob.A.cols
-    for row, j, pi in zip(prob.sparsified.entries, sel.chosen_col, prob.p):
-        if pi is not ZERO:
-            terms[j] = sf.add(terms[j], sf.ratio(pi, row[j]))
-    return GeneratorSet(_trusted(TropMatrix, sf,
-                                 zip(*_s1_columns(prob)(terms))))
+    """Span I (+) Delta^-1 A1^- p q^- of one selection, built from its terms
+    by the column builder that complete_solution pools from."""
+    _check_shape(sel, prob.A.shape)
+    return GeneratorSet(_trusted(TropMatrix, prob.semifield,
+                                 zip(*_s1_columns(prob)(sel.terms))))
 
 
 @dataclass(frozen=True)
@@ -324,9 +324,13 @@ def complete_solution(prob: SpanProblem, *,
     extremal_rays keeps the extremal ones, and the surviving basis is put
     into canonical column order, so repeated runs with the same flags print
     the identical matrix.  A budget overrun ends the one walk: the
-    EnumerationBudgetExceeded of _selections propagates as raised.
+    EnumerationBudgetExceeded of _selections propagates as raised.  With
+    prune=False, a family larger than the budget is refused before it.
     """
     sf, sparse = prob.semifield, prob.sparsified
+    total = selection_count(sparse, prob.p)
+    if not prune:
+        check_budget(total, budget)
     columns = _s1_columns(prob)
     rays, seen = {}, set()
     count = 0
@@ -340,5 +344,5 @@ def complete_solution(prob: SpanProblem, *,
     pool = list(rays.values())
     kept = [pool[k] for k in extremal_rays(sf, pool)]
     ordered = canonical_column_order(_trusted(TropMatrix, sf, zip(*kept)))
-    pruned = selection_count(sparse, prob.p) - count
+    pruned = total - count
     return CompleteSolution(prob.delta, GeneratorSet(ordered), count, pruned)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import time
 from pathlib import Path
 
@@ -16,13 +18,16 @@ from tropspan import (
     plotting,
     scheduling,
 )
-from tropspan.cli import main
+from tropspan.cli import EXIT_BUDGET, main
 from tropspan.plotting import render_span_svg
 
 DATA = Path(__file__).parent / "data"
 SPAN = str(DATA / "span_demo.json")
 SCHEDULE = str(DATA / "schedule_demo.json")
 REDUCED = str(DATA / "span_reduced_demo.json")
+# read only: the benchmark's own copy
+PROBE = str(Path(__file__).parent.parent / "benchmark" / "data"
+            / "span_square_probe.json")
 
 
 def run(capsys, *argv):
@@ -394,6 +399,46 @@ def test_enumerate_exhaustive(capsys):
     assert out.count("S1:") == 2
 
 
+@pytest.mark.parametrize("path, flags, digest", [
+    (SPAN, (), "7d9f34bcd82bef0d42959f77bfbfa4b8995b3963e27c481a9f085167a8f7bcbb"),
+    (SPAN, ("--exhaustive",),
+     "2dd397038501976b8906fe1bd56b1fe332a2d88bd0b2bde228661f02fd785a54"),
+    (REDUCED, (),
+     "bb8317f44ff5706950fa51a1466654995c3f253bee3f86c283d3621994d4a244"),
+    (REDUCED, ("--exhaustive",),
+     "2df5c33968a81da6fc5361888238f70a9fb515efc9a93614ed1d04aee17c8d49"),
+    (PROBE, (), "1bf4744efa1f639ac6b9a8419f1486a77e3f2bb6b31a257e3d1df56a2e08bcc1"),
+    (PROBE, ("--exhaustive",),
+     "10e6b03bd0bf12d22be36c91c3420651a2c57be1f7f14de8576a64b5409826e0"),
+], ids=["demo", "demo-exhaustive", "reduced", "reduced-exhaustive", "probe",
+        "probe-exhaustive"])
+def test_enumerate_golden_bytes(capsys, path, flags, digest):
+    # sha256 of the whole listing: A1 and S1 of every selection, the emitted
+    # or pruned mark, and the pruned selections after the plain listing
+    code, out, err = run(capsys, "enumerate", "--input", path, *flags)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_exhaustive_family_over_the_budget_is_refused_before_walking(
+        tmp_path, capsys):
+    # 14 rows of 4 columns: the exhaustive family is far above the default
+    # budget, and counting it takes no walk
+    rng = random.Random(1)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "kind": "span",
+        "A": [[rng.randint(0, 3) for _ in range(4)] for _ in range(14)],
+        "p": [0] * 14, "q": [0] * 4}))
+    for command in ("solve", "enumerate"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--input", str(path),
+                             "--exhaustive")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == "budget exceeded: more than 1000000 selections\n"
+
+
 def test_enumerate_reduced_schedule_problem(capsys):
     code, out, _ = run(capsys, "enumerate", "--input", REDUCED)
     assert code == 0
@@ -455,19 +500,33 @@ def test_plot_far_narrow_window_ends(tmp_path, capsys):
     assert "nan" not in svg and "inf" not in svg
 
 
-@pytest.mark.parametrize("q, message", [
-    ([0, 10 ** 400], "plotting needs scalars within the float range"),
-    ([0, 10 ** 308], "plotting needs pixel coordinates within the float range"),
-], ids=["scalar", "pixel"])
-def test_plot_refuses_values_beyond_float_range(tmp_path, capsys, q, message):
-    # solve takes the problem; plot refuses it before writing
+@pytest.mark.parametrize("q, options, message", [
+    ([0, 10 ** 400], [], "plotting needs scalars within the float range"),
+    ([0, 10 ** 308], [], None),
+    ([0, 10 ** 308], ["--window", str(-10 ** 307), "1e308"],
+     "plotting needs pixel coordinates within the float range"),
+], ids=["scalar", "pixel", "pixel-window"])
+def test_plot_refuses_values_beyond_float_range(tmp_path, capsys, q, options,
+                                                message):
+    # solve takes the problem.  plot draws the ray to 10^308 clipped to the
+    # window, and leaves out the strip's boundary far outside it; but it
+    # refuses a scalar beyond the float range, and a window reaching so far
+    # that the boundary's end overflows, before writing
     path = tmp_path / "far.json"
     path.write_text(json.dumps({"kind": "span", "A": [[0, 0], [0, 0]],
                                 "p": [0, 0], "q": q}))
     assert run(capsys, "solve", "--input", str(path))[0] == 0
     out_path = tmp_path / "far.svg"
     code, _, err = run(capsys, "plot", "--input", str(path),
-                       "--output", str(out_path))
+                       "--output", str(out_path), *options)
+    if message is None:
+        assert code == 0, err
+        svg = out_path.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        # the ray s2 runs up the vertical axis to the window's top edge
+        assert ('<line x1="260.00" y1="260.00" x2="260.00" y2="30.00" '
+                'stroke="#111"') in svg
+        return
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert not out_path.exists()

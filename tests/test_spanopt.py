@@ -279,6 +279,17 @@ def test_selection_generators_match_materialized_selection():
                 IntervalSet(lower=lower, upper=prob.q))
 
 
+def test_selection_of_another_shape_is_refused():
+    # a selection carries its shape as (len(chosen_col), len(terms))
+    prob = demo_span_problem()
+    for other in (mat([[3, -1, 0], [5, 2, 3]]), mat([[3, -1], [5, 2], [6, 2]])):
+        sel = next(enumerate_selections(other, vec([0] * other.rows)))
+        with pytest.raises(ShapeMismatch, match="^selection for shape "):
+            sel.materialize(prob.sparsified)
+        with pytest.raises(ShapeMismatch, match="^selection for shape "):
+            selection_generators(sel, prob)
+
+
 def _reference_s1(sel, prob):
     # the interval formula selection_generators used before the column
     # builder: validated identity, outer product and sum, then a GeneratorSet
@@ -538,7 +549,8 @@ def test_budget_overrun_counts_the_emitted_selections():
 
 
 def test_budget_overrun_walks_once(monkeypatch):
-    # the overrun ends the one walk that complete_solution pools from
+    # the overrun ends the one walk that complete_solution pools from; an
+    # exhaustive family over the budget is refused before any walk
     rng = random.Random(5)
     m = 1200
     prob = SpanProblem(mat([[rng.randint(-5, 5) for _ in range(3)]
@@ -550,11 +562,11 @@ def test_budget_overrun_walks_once(monkeypatch):
         return _selections(*args)
 
     monkeypatch.setattr(spanopt, "_selections", counting)
-    for prune in (True, False):
+    for prune, walked in ((True, 1), (False, 0)):
         walks.clear()
         with pytest.raises(EnumerationBudgetExceeded) as info:
             complete_solution(prob, budget=20, prune=prune)
-        assert len(walks) == 1
+        assert len(walks) == walked
         assert info.value.visited == 20
     with pytest.raises(TypeError):
         EnumerationBudgetExceeded("more than 1 selections", visited=1, partial=[])
