@@ -13,6 +13,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import documents as docs
@@ -296,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = command("plot", cmd_plot, "render a 2-D solution set as SVG")
     p_plot.add_argument("--window", type=float, nargs=2, default=(-10.0, 10.0),
                         metavar=("LO", "HI"), help="square viewing window")
+    # a bound such as -1e5 or -inf is a number, not an option
+    p_plot._negative_number_matcher = re.compile(r"^-(?:\.?\d|inf$)")
     return parser
 
 

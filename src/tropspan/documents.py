@@ -19,8 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError, TropicalError, ValidationError
 from .linalg import TropMatrix, TropVector, _trusted
@@ -245,8 +245,7 @@ def _write_entries(payload: dict, entries: dict) -> str:
 
 # -- problem documents --------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
-class ProblemDocument:
+class ProblemDocument(NamedTuple):
     kind: str
     entries: dict  # name -> TropMatrix | TropVector
     metadata: dict  # str -> str
@@ -298,8 +297,7 @@ def serialize_problem(doc: ProblemDocument) -> str:
 
 # -- solution documents -------------------------------------------------------
 
-@dataclass(frozen=True, eq=True)
-class SolutionDocument:
+class SolutionDocument(NamedTuple):
     kind: str
     input_sha256: str
     delta: Scalar

@@ -24,7 +24,7 @@ infeasible; they only shift the latest one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import (
     CoefficientOutOfBound,
@@ -77,8 +77,7 @@ class ScheduleInstance:
             raise NotRegularVector("late finish times f must all be finite")
 
 
-@dataclass(frozen=True)
-class ScheduleSolution:
+class ScheduleSolution(NamedTuple):
     """All optimal schedules: (x, y) = (x_generators v, y_generators v) for
     regular v up to coeff_bound."""
 
@@ -90,12 +89,6 @@ class ScheduleSolution:
     D: TropMatrix
     enumerated_count: int
     pruned_count: int
-
-    def __post_init__(self):
-        if self.x_generators.cols != self.y_generators.cols:
-            raise ShapeMismatch("x and y generators must have equal column counts")
-        if self.coeff_bound.dim != self.x_generators.cols:
-            raise ShapeMismatch("coefficient bound does not match generator count")
 
 
 def precedence_closure(inst: ScheduleInstance) -> TropMatrix:
@@ -161,8 +154,7 @@ def span_seminorm(y: TropVector) -> Scalar:
     return sf.mul(ones @ y, y.conj() @ ones)
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
+class ScheduleReport(NamedTuple):
     """Per-row outcome of every constraint family plus the achieved span."""
 
     start_finish: tuple[bool, ...]
@@ -236,8 +228,7 @@ def compact_generators(sol: ScheduleSolution) -> ScheduleSolution:
                                     sf.mul(kappa, sol.coeff_bound[j]))
     if len(reps) == len(x_cols):
         return sol
-    return replace(
-        sol,
+    return sol._replace(
         x_generators=TropMatrix.from_columns(sf, [x_cols[r] for r in reps]),
         y_generators=TropMatrix.from_columns(sf, [y_cols[r] for r in reps]),
         coeff_bound=TropVector(sf, merged_bound),

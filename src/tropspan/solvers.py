@@ -16,8 +16,6 @@ the columns of I (+) g h^-, for it and for the per-selection spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     NotColumnRegular,
     NotRegularVector,
@@ -29,32 +27,34 @@ from .linalg import TropMatrix, TropVector, _trusted, residuation_coefficients
 from .semifield import Semifield
 
 
-@dataclass(frozen=True)
 class IntervalSet:
     """Vectors x with alpha*lower <= x <= alpha*upper for some alpha > zero."""
 
-    lower: TropVector
-    upper: TropVector
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self):
-        if self.lower.dim != self.upper.dim:
-            raise ShapeMismatch(
-                f"interval dims {self.lower.dim} vs {self.upper.dim}")
-        if not self.upper.is_regular():
+    def __init__(self, lower: TropVector, upper: TropVector):
+        if lower.dim != upper.dim:
+            raise ShapeMismatch(f"interval dims {lower.dim} vs {upper.dim}")
+        if not upper.is_regular():
             raise NotRegularVector("interval upper bound must be regular")
-        if not self.lower.le(self.upper):
+        if not lower.le(upper):
             raise ValidationError("interval lower bound exceeds the upper bound")
+        self.lower, self.upper = lower, upper
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """A column span {S v : v > 0}; linalg.depends_on tests membership."""
 
-    generators: TropMatrix
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        if not self.generators.is_column_regular():
+    def __init__(self, generators: TropMatrix):
+        if not generators.is_column_regular():
             raise ZeroColumn("a generator column is all-zero")
+        self.generators = generators
+
+    def __eq__(self, other):
+        return (isinstance(other, GeneratorSet)
+                and self.generators == other.generators)
 
 
 def solve_upper_bound(matrix: TropMatrix, d: TropVector) -> TropVector:

@@ -26,7 +26,6 @@ The pipeline, for a row-regular A, nonzero p and regular q:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -290,8 +289,7 @@ def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSe
                                  zip(*_s1_columns(prob)(sel.terms))))
 
 
-@dataclass(frozen=True)
-class CompleteSolution:
+class CompleteSolution(NamedTuple):
     """Minimum value plus a generator matrix spanning every solution."""
 
     delta: Scalar

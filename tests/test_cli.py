@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from conftest import mat, vec
+import tropspan
 from tropspan import (
     MAX_TIMES,
     MIN_PLUS,
@@ -34,6 +38,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # a fresh interpreter, as a command line starts one; this session has both
+    src = str(Path(tropspan.__file__).resolve().parent.parent)
+    code = ("import sys, tropspan.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 def test_solve_span(capsys):
@@ -195,12 +210,28 @@ def test_plot_window_must_be_finite_and_increasing(tmp_path, capsys):
     # the last two overflow: the scale of a subnormal width, and the width
     # from a 309-digit LO, which argparse reads as a negative number
     for window in (("5", "-5"), ("3", "3"), ("nan", "1"), ("0", "inf"),
-                   ("0", "1e-320"), ("-1" + "0" * 308, "1e308")):
+                   ("-inf", "0"), ("0", "1e-320"), ("-1" + "0" * 308, "1e308")):
         code, err = refused(capsys, "plot", "--input", SPAN, "--output",
                             str(tmp_path / "plot.svg"), "--window", *window)
         assert code == 2
         assert "--window needs finite LO < HI" in err
     assert not (tmp_path / "plot.svg").exists()
+
+
+def test_plot_window_reads_negative_exponent_bounds(tmp_path, capsys):
+    svgs = []
+    for lo in ("-1e5", "-100000"):
+        out_path = tmp_path / "plot.svg"
+        code, _, err = run(capsys, "plot", "--input", SPAN, "--output",
+                           str(out_path), "--window", lo, "10")
+        assert code == 0, err
+        svgs.append(out_path.read_bytes())
+    assert svgs[0] == svgs[1]
+    # an option after one bound is still not taken for the second
+    code, err = refused(capsys, "plot", "--input", SPAN, "--window", "-1e5",
+                        "--budget", "3")
+    assert code == 2
+    assert "--window: expected 2 arguments" in err
 
 
 def test_verify_accepts_solution_document(tmp_path, capsys):

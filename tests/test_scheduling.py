@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -241,9 +240,23 @@ def test_deadlines_always_admit_a_latest_schedule():
         x, y = latest_schedule(sol)
         report = check_schedule(inst, x, y)
         assert report.ok and report.span == sol.delta
-    broken = replace(sol, coeff_bound=vec([Z] * sol.coeff_bound.dim))
+    broken = sol._replace(coeff_bound=vec([Z] * sol.coeff_bound.dim))
     with pytest.raises(NotRegularVector):
         latest_schedule(broken)
+
+
+def test_generators_and_bound_agree_in_shape():
+    # one x column and one y column per coefficient, with or without merging
+    rng = random.Random(89)
+    merged = 0
+    for _ in range(60):
+        sol = solve_schedule(random_schedule_instance(rng, rng.randint(1, 4)))
+        compact = compact_generators(sol)
+        merged += compact is not sol
+        for record in (sol, compact):
+            assert (record.x_generators.cols == record.y_generators.cols
+                    == record.coeff_bound.dim)
+    assert merged
 
 
 def test_latest_schedule_is_maximal():
