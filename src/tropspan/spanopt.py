@@ -16,12 +16,15 @@ The pipeline, for a row-regular A, nonzero p and regular q:
      each later row k with t_kj <= t_ij to column j, so the walk's state is
      one forced column per row.  A forced row needs no scan of its own, and
      its term no place in the sums, which the walk carries from row to row.
-  5. S1 is built once per distinct sum.  Concatenating those columns and
-     dropping dependent ones yields a single generator matrix S0 whose span
-     is exactly the solution set.  A column is dependent unless it is
-     extremal, which the criterion of Butkovic, Schneider & Sergeev
+  5. If l <= l' entrywise, the cone of l' lies in that of l, so S1 is built
+     once per sum that no earlier sum lies below.  Concatenating those
+     columns and dropping dependent ones yields a single generator matrix S0
+     whose span is exactly the solution set.  A column is dependent unless
+     it is extremal, which the criterion of Butkovic, Schneider & Sergeev
      (LAA 421, 2007) decides by scalar comparisons with the other columns;
-     S0 keeps the first column of each extremal ray.
+     S0 keeps the first column of each extremal ray, skip or not, as an
+     extremal ray of the union that lies in a covered cone is extremal in
+     the covering cone, whose columns were pooled before it.
 """
 
 from __future__ import annotations
@@ -315,8 +318,13 @@ def complete_solution(prob: SpanProblem, *,
     """Assemble S0: enumerate selections, pool their generators, reduce.
 
     Selections are pooled as the walk emits them, with the terms each
-    carries; one whose terms were seen before has the same l and S1, and is
-    skipped.  The S1 columns, plain tuples from the builder that
+    carries.  One is skipped when the terms of an earlier one lie below its
+    own, as its cone lies inside that one's.  Terms seen before are skipped
+    by a set lookup, since a long walk repeats few distinct terms; new terms
+    are compared only with those that no later terms lie below, and the
+    columns of the others stay pooled, so each extremal ray keeps its first
+    column.
+    The S1 columns, plain tuples from the builder that
     selection_generators also uses, are keyed by ray_key, and a column of a
     ray already pooled is skipped, so memory follows the distinct rays.
     extremal_rays keeps the extremal ones, and the surviving basis is put
@@ -329,16 +337,21 @@ def complete_solution(prob: SpanProblem, *,
     total = selection_count(sparse, prob.p)
     if not prune:
         check_budget(total, budget)
-    columns = _s1_columns(prob)
-    rays, seen = {}, set()
+    columns, le = _s1_columns(prob), sf.le
+    rays, bounds, seen = {}, [], set()
     count = 0
     for count, (_, terms) in enumerate(_selections(
             sparse, prob.p, prune, budget), 1):
-        if terms not in seen:
-            seen.add(terms)
-            for col in columns(terms):
-                rays.setdefault(ray_key(sf, col), col)
-    del seen
+        if terms in seen:
+            continue
+        seen.add(terms)
+        if any(all(map(le, u, terms)) for u in bounds):
+            continue
+        bounds = [u for u in bounds if not all(map(le, terms, u))]
+        bounds.append(terms)
+        for col in columns(terms):
+            rays.setdefault(ray_key(sf, col), col)
+    del seen, bounds
     pool = list(rays.values())
     kept = [pool[k] for k in extremal_rays(sf, pool)]
     ordered = canonical_column_order(_trusted(TropMatrix, sf, zip(*kept)))

@@ -63,6 +63,16 @@ def random_span_problem(rng: random.Random, max_dim: int = 4,
     return SpanProblem(mat(rows), vec(p), vec(q))
 
 
+def dense_probe_data(seed: int = 12, n: int = 12):
+    """A, p and q of the dense n x n max-plus probe, as lists of ints drawn
+    from Random(seed) in that order, A row by row, each in [-5, 5]."""
+    rng = random.Random(seed)
+    A = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+    p = [rng.randint(-5, 5) for _ in range(n)]
+    q = [rng.randint(-5, 5) for _ in range(n)]
+    return A, p, q
+
+
 def random_regular_vector(rng: random.Random, n: int,
                           lo: int = -8, hi: int = 8) -> TropVector:
     return vec([rng.randint(lo, hi) for _ in range(n)])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import mat, vec
+from conftest import dense_probe_data, mat, vec
 import tropspan
 from tropspan import (
     MAX_TIMES,
@@ -94,6 +94,23 @@ def test_solve_deterministic(capsys):
     _, first, _ = run(capsys, "solve", "--input", SCHEDULE)
     _, second, _ = run(capsys, "solve", "--input", SCHEDULE)
     assert first == second
+
+
+def test_solve_dense_12_by_12_probe_in_a_child_process(tmp_path):
+    # 20450 selections; before a selection whose cone an earlier one covers
+    # was skipped, the reduction of 65815 pooled rays took about 70 s
+    A, p, q = dense_probe_data()
+    problem = tmp_path / "probe12.json"
+    problem.write_text(json.dumps({"kind": "span", "A": A, "p": p, "q": q}))
+    src = str(Path(tropspan.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "tropspan", "solve", "--input", str(problem)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["enumeration"]["visited"] == 20450
+    assert len(doc["generators"][0]) == 111
 
 
 def test_solve_writes_integral_half_unit_sums_as_integers(tmp_path, capsys):

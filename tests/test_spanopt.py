@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 from conftest import (
     Z,
     demo_span_problem,
+    dense_probe_data,
     mat,
     random_regular_vector,
     random_span_problem,
@@ -38,9 +40,14 @@ from tropspan import (
     selection_generators,
 )
 from tropspan import spanopt
-from tropspan.linalg import ray_key, reduce_to_independent
+from tropspan.linalg import extremal_rays, ray_key, reduce_to_independent
 from tropspan.solvers import generator_columns
-from tropspan.spanopt import _s1_columns, _selections, canonical_column_order
+from tropspan.spanopt import (
+    _s1_columns,
+    _selections,
+    canonical_column_order,
+    selection_count,
+)
 
 
 def test_objective_golden():
@@ -367,24 +374,109 @@ def test_complete_solution_is_valid_as_built():
             assert _typed([sol.delta]) == _typed([sf.check_value(sol.delta)])
 
 
-def test_complete_solution_is_the_reduction_of_all_s1_columns():
-    # complete_solution pools distinct rays and calls the extremality kernel
-    # directly; reducing every S1 column at once must give the same S0
+def _counted_solution(monkeypatch, prob, **kwargs):
+    # complete_solution, and the lower bound l of each S1 it builds
+    built = []
+
+    def counting(sf, lower, inv_q):
+        built.append(tuple(lower))
+        return generator_columns(sf, lower, inv_q)
+
+    monkeypatch.setattr(spanopt, "generator_columns", counting)
+    sol = complete_solution(prob, **kwargs)
+    monkeypatch.undo()
+    return sol, built
+
+
+def test_complete_solution_is_the_reduction_of_all_s1_columns(monkeypatch):
+    # complete_solution skips the S1 of a bound that an earlier bound lies
+    # below, pools distinct rays and calls the extremality kernel directly;
+    # reducing every S1 column of the walk at once must give the same S0,
+    # types and counts included.  ZERO entries of A and p give ZERO terms,
+    # which le must take for the bottom in every semifield
     rng = random.Random(93)
-    repeated = 0
+    repeated, skipped = 0, {}
     for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
         for _ in range(60):
             prob = _half_unit_problem(rng, sf)
-            pooled = [col for sel in enumerate_selections(prob.sparsified,
-                                                          prob.p)
-                      for col in selection_generators(
-                          sel, prob).generators.columns()]
-            repeated += len(pooled) - len({ray_key(sf, c) for c in pooled})
-            whole, _ = reduce_to_independent(
-                TropMatrix.from_columns(sf, pooled))
-            assert complete_solution(prob).generators.generators \
-                == canonical_column_order(whole)
-    assert repeated > 0
+            for prune in (True, False):
+                selections = list(enumerate_selections(
+                    prob.sparsified, prob.p, prune=prune))
+                pooled = [col for sel in selections
+                          for col in selection_generators(
+                              sel, prob).generators.columns()]
+                repeated += len(pooled) - len({ray_key(sf, c) for c in pooled})
+                whole, _ = reduce_to_independent(
+                    TropMatrix.from_columns(sf, pooled))
+                sol, built = _counted_solution(monkeypatch, prob, prune=prune)
+                s0 = sol.generators.generators
+                assert s0 == canonical_column_order(whole)
+                assert [_typed(row) for row in s0.entries] == [
+                    _typed(row) for row in canonical_column_order(whole).entries]
+                assert sol.enumerated_count == len(selections)
+                assert sol.pruned_count == selection_count(
+                    prob.sparsified, prob.p) - len(selections)
+                distinct = len({sel.terms for sel in selections})
+                skipped[sf, prune] = skipped.get((sf, prune), 0) \
+                    + distinct - len(built)
+    assert repeated > 0 and min(skipped.values()) > 0, skipped
+
+
+def test_s1_not_built_for_a_bound_an_earlier_bound_lies_below(monkeypatch):
+    # the walk emits terms (2, Z), (0, 3), (2, 0), (Z, 3); (2, Z) lies below
+    # (2, 0), so the third cone is inside the first and its S1, of lower
+    # bound l = (0, -2), is never built.  (Z, 3) lies below the earlier
+    # (0, 3), which does not cover it, so its S1 is built
+    prob = SpanProblem(mat([[0, 0], [-2, -3]]), vec([0, 0]), vec([0, 1]))
+    assert prob.delta == 2 and prob.sparsified == prob.A
+    assert [sel.terms for sel in enumerate_selections(
+        prob.sparsified, prob.p)] == [(2, Z), (0, 3), (2, 0), (Z, 3)]
+    sol, built = _counted_solution(monkeypatch, prob)
+    assert built == [(0, Z), (-2, 1), (Z, 1)]
+    assert sol.enumerated_count == 4
+    assert sol.generators.generators == TropMatrix.identity(MAX_PLUS, 2)
+
+
+def test_bound_below_an_earlier_one_keeps_the_earlier_column(monkeypatch):
+    # the later terms (1, Z, 1) lie below the earlier (1, -1, 1): both S1 are
+    # built.  The earlier l equals q, so each of its columns lies on the ray
+    # of q, (0, -2, 0) first; the later S1 reaches that ray only through its
+    # column (2, 0, 2).  S0 keeps the column pooled first, the earlier one;
+    # unpooling the columns of a bound that a later bound lies below would
+    # keep (2, 0, 2)
+    prob = SpanProblem(mat([[-1, 3, 3], [-3, -2, 0], [0, 0, -2]]),
+                       vec([2, 1, 1]), vec([0, -2, 0]))
+    assert prob.delta == 1
+    selections = list(enumerate_selections(prob.sparsified, prob.p))
+    assert [sel.terms for sel in selections] == [(1, -1, 1), (1, Z, 1)]
+    sol, built = _counted_solution(monkeypatch, prob)
+    assert built == [(0, -2, 0), (0, Z, 0)]
+    earlier, later = (selection_generators(sel, prob).generators.entries
+                      for sel in selections)
+    assert list(zip(*earlier))[0] == (0, -2, 0)
+    assert (0, -2, 0) not in zip(*later) and (2, 0, 2) in zip(*later)
+    assert sol.generators.generators == mat([[0, 0], [Z, -2], [0, 0]])
+
+
+def test_dense_12_by_12_probe_skips_covered_cones(monkeypatch):
+    # without the skip this walk of 20450 selections built 8148 S1 and
+    # pooled 65815 distinct rays, and the reduction took about a minute;
+    # the digest is of S0 as it was then, types included
+    A, p, q = dense_probe_data()
+    prob = SpanProblem(mat(A), vec(p), vec(q))
+    pooled = []
+
+    def counting(sf, rays):
+        pooled.append(len(rays))
+        return extremal_rays(sf, rays)
+
+    monkeypatch.setattr(spanopt, "extremal_rays", counting)
+    sol, built = _counted_solution(monkeypatch, prob)
+    assert (len(built), pooled, sol.enumerated_count) == (370, [3503], 20450)
+    s0 = sol.generators.generators
+    typed = [[(type(e).__name__, e) for e in row] for row in s0.entries]
+    assert hashlib.sha256(repr(typed).encode()).hexdigest() == (
+        "a86c5f904de9a3d5ea84e9fd368bfc7caa18503cb1b7f20b903ceaea2e5d16fa")
 
 
 def test_enumerate_matches_recursive_reference_on_every_semifield():
@@ -510,7 +602,8 @@ def test_complete_solution_checks_no_row_regularity(monkeypatch):
 
 def test_s1_built_once_per_distinct_bound(monkeypatch):
     # the 1200 x 3 problem of test_tall_dense_walk_follows_branching: its 51
-    # selections share fewer lower bounds l, and S1 is built once for each
+    # selections share fewer lower bounds l, and S1 is built once per bound
+    # no earlier bound covers; none of these bounds lies below another
     rng = random.Random(5)
     m = 1200
     prob = SpanProblem(mat([[rng.randint(-5, 5) for _ in range(3)]
