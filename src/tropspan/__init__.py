@@ -13,7 +13,6 @@ from .errors import (
     EnumerationBudgetExceeded,
     InfeasiblePrecedence,
     InversionOfZero,
-    NotColumnRegular,
     NotRegularMatrix,
     NotRegularVector,
     NotSquare,
@@ -32,7 +31,6 @@ from .linalg import (
     delta,
     depends_on,
     kleene_star,
-    outer,
     reduce_to_independent,
     residuation_coefficients,
     trace,

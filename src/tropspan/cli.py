@@ -151,7 +151,7 @@ def _verify_schedule_pairs(inst, pairs) -> tuple[list[str], bool]:
         line = (f"schedule {i}: {'PASS' if ok else 'FAIL'} "
                 f"span={fmt(report.span)} delta={fmt(delta)}")
         if not report.ok:
-            line += " violations: " + "; ".join(report.failures())
+            line += " violations: " + "; ".join(report.failures)
         lines.append(line)
     return lines, all_ok
 

@@ -39,10 +39,6 @@ class SpectralConditionViolated(TropicalError):
     """Tr(A) > 1: the inequality A x <= x has no regular solution."""
 
 
-class NotColumnRegular(TropicalError):
-    """Matrix has an all-zero column."""
-
-
 class NotRegularMatrix(TropicalError):
     """Matrix has an all-zero row or column where regularity is required."""
 

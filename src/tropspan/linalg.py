@@ -314,14 +314,6 @@ class TropMatrix:
                    for a, b in zip(ra, rb))
 
 
-def outer(x: TropVector, y: TropVector) -> TropMatrix:
-    """Outer product (x y^T)_ij = x_i (x) y_j; pass y already conjugated for x y^-."""
-    _check_same_semifield(x, y)
-    mul = x.semifield.mul
-    return _trusted(TropMatrix, x.semifield,
-                    [[mul(a, b) for b in y.entries] for a in x.entries])
-
-
 def trace(matrix: TropMatrix) -> Scalar:
     if not matrix.is_square():
         raise NotSquare(f"trace of a {matrix.rows}x{matrix.cols} matrix")

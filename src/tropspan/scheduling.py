@@ -24,6 +24,7 @@ infeasible; they only shift the latest one.
 
 from __future__ import annotations
 
+from operator import eq
 from typing import NamedTuple
 
 from .errors import (
@@ -155,28 +156,15 @@ def span_seminorm(y: TropVector) -> Scalar:
 
 
 class ScheduleReport(NamedTuple):
-    """Per-row outcome of every constraint family plus the achieved span."""
+    """Each violated constraint as "<family> row <i>", by family in the order
+    of the module docstring and rows ascending, plus the achieved span."""
 
-    start_finish: tuple[bool, ...]
-    start_start: tuple[bool, ...]
-    finish_start: tuple[bool, ...]
-    late_finish: tuple[bool, ...]
+    failures: tuple[str, ...]
     span: Scalar
 
     @property
     def ok(self) -> bool:
-        return all(self.start_finish) and all(self.start_start) \
-            and all(self.finish_start) and all(self.late_finish)
-
-    def failures(self) -> list[str]:
-        out = []
-        for name, flags in (("start-finish", self.start_finish),
-                            ("start-start", self.start_start),
-                            ("finish-start", self.finish_start),
-                            ("late-finish", self.late_finish)):
-            out.extend(f"{name} row {i + 1}" for i, okay in enumerate(flags)
-                       if not okay)
-        return out
+        return not self.failures
 
 
 def check_schedule(inst: ScheduleInstance, x: TropVector,
@@ -186,15 +174,15 @@ def check_schedule(inst: ScheduleInstance, x: TropVector,
         raise NotRegularVector("schedules under check must be regular")
     if x.dim != inst.n or y.dim != inst.n:
         raise ShapeMismatch("schedule length does not match the activity count")
-    sf = inst.semifield
-    ax = inst.A @ x
-    bx = inst.B @ x
-    cy = inst.C @ y
+    le = inst.semifield.le
+    families = (("start-finish", inst.A @ x, y, eq),
+                ("start-start", inst.B @ x, x, le),
+                ("finish-start", inst.C @ y, x, le),
+                ("late-finish", y, inst.f, le))
     return ScheduleReport(
-        start_finish=tuple(ax[i] == y[i] for i in range(inst.n)),
-        start_start=tuple(sf.le(bx[i], x[i]) for i in range(inst.n)),
-        finish_start=tuple(sf.le(cy[i], x[i]) for i in range(inst.n)),
-        late_finish=tuple(sf.le(y[i], inst.f[i]) for i in range(inst.n)),
+        failures=tuple(f"{name} row {i + 1}"
+                       for name, lhs, rhs, holds in families
+                       for i in range(inst.n) if not holds(lhs[i], rhs[i])),
         span=span_seminorm(y),
     )
 

@@ -140,18 +140,6 @@ class Semifield:
             return _norm(Fraction(1, 1) / a)
         return -a
 
-    def power(self, a: Scalar, k: int) -> Scalar:
-        """Iterated product a^k for integer k; a^0 = one, negative k inverts."""
-        if k == 0:
-            return self.one
-        if a is ZERO:
-            if k < 0:
-                raise InversionOfZero("negative power of the semifield zero")
-            return ZERO
-        if self._multiplicative:
-            return _norm(Fraction(a) ** k)
-        return _norm(a * k)
-
     # -- text ----------------------------------------------------------------
 
     def format_scalar(self, a: Scalar) -> str:

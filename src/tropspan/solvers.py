@@ -17,7 +17,6 @@ the columns of I (+) g h^-, for it and for the per-selection spans.
 from __future__ import annotations
 
 from .errors import (
-    NotColumnRegular,
     NotRegularVector,
     ShapeMismatch,
     ValidationError,
@@ -60,7 +59,7 @@ class GeneratorSet:
 def solve_upper_bound(matrix: TropMatrix, d: TropVector) -> TropVector:
     """Greatest x with A x <= d, namely (d^- A)^-."""
     if not matrix.is_column_regular():
-        raise NotColumnRegular("A must have no zero columns")
+        raise ZeroColumn("A must have no zero columns")
     if not d.is_regular():
         raise NotRegularVector("right-hand side d must be regular")
     if matrix.rows != d.dim:

@@ -323,8 +323,7 @@ def complete_solution(prob: SpanProblem, *,
     by a set lookup, since a long walk repeats few distinct terms; new terms
     are compared only with those that no later terms lie below, and the
     columns of the others stay pooled, so each extremal ray keeps its first
-    column.
-    The S1 columns, plain tuples from the builder that
+    column.  The S1 columns, plain tuples from the builder that
     selection_generators also uses, are keyed by ray_key, and a column of a
     ray already pooled is skipped, so memory follows the distinct rays.
     extremal_rays keeps the extremal ones, and the surviving basis is put

@@ -29,9 +29,9 @@ DATA = Path(__file__).parent / "data"
 SPAN = str(DATA / "span_demo.json")
 SCHEDULE = str(DATA / "schedule_demo.json")
 REDUCED = str(DATA / "span_reduced_demo.json")
-# read only: the benchmark's own copy
-PROBE = str(Path(__file__).parent.parent / "benchmark" / "data"
-            / "span_square_probe.json")
+# read only: the benchmark's own copies
+BENCH_DATA = Path(__file__).parent.parent / "benchmark" / "data"
+PROBE = str(BENCH_DATA / "span_square_probe.json")
 
 
 def run(capsys, *argv):
@@ -88,6 +88,50 @@ def test_solve_schedule_compact(capsys):
     assert doc["y_generators"] == [[3, -1], [5, 2], [6, 2]]
     assert doc["coefficient_bound"] == [1, 5]
     assert doc["latest"] == {"x": [1, 5, 3], "y": [4, 7, 7]}
+
+
+# sha256 of the solution document; the three files of tests/data are
+# byte-identical copies of those in benchmark/data, so they share digests
+SOLVE_DIGESTS = {
+    ("schedule_demo", ()):
+        "61302cec88c168041f515ab31745a1c607d1c65d5bb2f0d73dd2bced823c44ce",
+    ("schedule_demo", ("--exhaustive",)):
+        "f10c902504d3550ed943c15beb400b98070e3a648cf7bb5f5415af5de8cc4811",
+    ("schedule_demo", ("--compact",)):
+        "cc0e62ca4efefbb801807971b9aa42686a25c3972dda017f82763c98fd7645c1",
+    ("span_demo", ()):
+        "0fff0ad0ca7b92881e7801f7525739cf6964c197e4f0a21390f2e44b120b386a",
+    ("span_demo", ("--exhaustive",)):
+        "f3c489c31441b8618eb342b8afefcaa712a568b04e2b40efad60377da0bc9d3d",
+    ("span_demo", ("--compact",)):
+        "2773b732c84b4b980695e3669cf638a34df25097341de760c4240e5812829639",
+    ("span_reduced_demo", ()):
+        "51f2456044d9fd2af9080ea49cdbbf5dd29e1de9a9b6a9042c926089fb93aeb0",
+    ("span_reduced_demo", ("--exhaustive",)):
+        "07d13831fd54cfe3c101d4cf8554fd88b960bed7f6fbd18e778e6d982198dadd",
+    ("span_reduced_demo", ("--compact",)):
+        "a0256954464c7ca3b009cef7fe7a7b81ce14aa6599be9e84efcb4fa8c8451212",
+    ("span_square_probe", ()):
+        "1e07e9a1bd927948e98112a1c25b58f5d2dea0ac21e2677809cad50a3cf981be",
+    ("span_square_probe", ("--exhaustive",)):
+        "fc876476a4c968712caec1028072b80c3715375c5b4346db3a3b2ece42fee042",
+    ("span_square_probe", ("--compact",)):
+        "9c0096893d648871538da74a68b50cbdfdd9c871f2d9dccf51b8060512c8dedc",
+}
+SOLVE_FILES = [*sorted(DATA.glob("*.json")),
+               *sorted(BENCH_DATA.glob("*.json"))]
+
+
+@pytest.mark.parametrize("flags", [(), ("--exhaustive",), ("--compact",)],
+                         ids=["plain", "exhaustive", "compact"])
+@pytest.mark.parametrize("path", SOLVE_FILES,
+                         ids=[f"{p.parent.parent.name}-{p.stem}"
+                              for p in SOLVE_FILES])
+def test_solve_golden_bytes(capsys, path, flags):
+    code, out, err = run(capsys, "solve", "--input", str(path), *flags)
+    assert code == 0, err
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == SOLVE_DIGESTS[path.stem, flags])
 
 
 def test_solve_deterministic(capsys):
@@ -391,27 +435,37 @@ def test_verify_refusal_order(tmp_path, capsys):
 def test_verify_span_candidates(tmp_path, capsys):
     cands = tmp_path / "cands.json"
     cands.write_text(json.dumps({"kind": "candidates",
-                                 "vectors": [[1, 2], [0, 5]]}))
+                                 "vectors": [[1, 2], [0, 5], [0, "-inf"]]}))
     code, out, _ = run(capsys, "verify", "--input", SPAN,
                        "--candidates", str(cands))
     assert code == 1
-    assert "candidate 1: PASS objective=2 delta=2" in out
-    assert "candidate 2: FAIL objective=3 delta=2" in out
+    assert out == ("delta: 2\n"
+                   "candidate 1: PASS objective=2 delta=2\n"
+                   "candidate 2: FAIL objective=3 delta=2\n"
+                   "candidate 3: FAIL (not regular)\n"
+                   "result: FAIL\n")
 
 
 def test_verify_schedule_candidates(tmp_path, capsys):
+    # the second schedule breaks rows of all four constraint families; the
+    # violations are listed by family, then by row
     cands = tmp_path / "cands.json"
     cands.write_text(json.dumps({
         "kind": "candidates",
         "schedules": [{"x": [1, 5, 3], "y": [4, 7, 7]},
-                      {"x": [1, 5, 3], "y": [3, 7, 7]}],
+                      {"x": [0, 0, 0], "y": [100, 100, 100]}],
     }))
     code, out, _ = run(capsys, "verify", "--input", SCHEDULE,
                        "--candidates", str(cands))
     assert code == 1
-    assert "schedule 1: PASS span=3 delta=3" in out
-    assert "schedule 2: FAIL" in out
-    assert "start-finish row 1" in out
+    assert out == (
+        "delta: 3\n"
+        "schedule 1: PASS span=3 delta=3\n"
+        "schedule 2: FAIL span=0 delta=3 violations: start-finish row 1; "
+        "start-finish row 2; start-finish row 3; start-start row 2; "
+        "start-start row 3; finish-start row 2; finish-start row 3; "
+        "late-finish row 1; late-finish row 2; late-finish row 3\n"
+        "result: FAIL\n")
 
 
 def test_verify_schedule_pairs_needs_no_solve(tmp_path, capsys, monkeypatch):

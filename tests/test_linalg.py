@@ -23,7 +23,6 @@ from tropspan import (
     delta,
     depends_on,
     kleene_star,
-    outer,
     reduce_to_independent,
     residuation_coefficients,
     solve_upper_bound,
@@ -337,6 +336,10 @@ def test_single_entry_rows_give_subidentity():
 
 
 def test_conjugate_outer_product_identity():
+    def outer(u, w):
+        # u w^T as the product of an n x 1 and a 1 x n matrix
+        return mat([[a] for a in u.entries]) @ mat([w.entries])
+
     rng = random.Random(5)
     for _ in range(50):
         n = rng.randint(1, 4)

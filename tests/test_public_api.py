@@ -5,10 +5,12 @@ The scripts are parsed with ast, and imports nested in functions count too:
 deleting a public name they use fails here rather than in a benchmark run.
 The traced mirror of the in-process workloads calls library functions with
 its own argument shapes, so it is also run once on the sample problems.
+The README's quickstart is run as well, and its commented values checked.
 """
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -85,3 +87,15 @@ def test_benchmark_traced_calls_run_on_the_samples(monkeypatch):
     assert kinds == {"span", "schedule"}
     assert trace.values["scheduling.reduced_problem_ms"] > 0
     assert trace.values["linalg.reduce_ms"] > 0
+
+
+def test_readme_quickstart_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    names: dict = {}
+    exec(blocks[0], names)
+    assert names["sol"].delta == 2
+    assert names["sched"].delta == 3
+    x, y = names["latest_schedule"](names["sched"])
+    assert (x.entries, y.entries) == ((1, 5, 3), (4, 7, 7))

@@ -145,13 +145,12 @@ def test_check_schedule():
     report = check_schedule(inst, x, y)
     assert report.ok
     assert report.span == 3
-    assert report.failures() == []
+    assert report.failures == ()
 
     lowered = vec([3, 7, 7])
     report = check_schedule(inst, x, lowered)
-    assert not report.start_finish[0]
-    assert all(report.start_finish[1:])
-    assert "start-finish row 1" in report.failures()
+    assert not report.ok
+    assert report.failures == ("start-finish row 1",)
 
 
 def test_check_schedule_unconstrained():

@@ -34,21 +34,10 @@ def test_max_plus_inv():
         MAX_PLUS.inv(ZERO)
 
 
-def test_max_plus_power():
-    assert MAX_PLUS.power(3, 2) == 6
-    assert MAX_PLUS.power(17, 0) == MAX_PLUS.one
-    assert MAX_PLUS.power(ZERO, 0) == MAX_PLUS.one
-    assert MAX_PLUS.power(4, -1) == -4
-    assert MAX_PLUS.power(ZERO, 3) is ZERO
-    with pytest.raises(InversionOfZero):
-        MAX_PLUS.power(ZERO, -1)
-
-
 def test_max_times_arithmetic_is_exact():
     assert MAX_TIMES.mul(Fraction(1, 2), 2) == 1
     assert MAX_TIMES.inv(2) == Fraction(1, 2)
     assert MAX_TIMES.inv(Fraction(3, 4)) == Fraction(4, 3)
-    assert MAX_TIMES.power(2, -2) == Fraction(1, 4)
     assert MAX_TIMES.add(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 2)
 
 

@@ -7,7 +7,6 @@ from tropspan import (
     MAX_PLUS,
     GeneratorSet,
     IntervalSet,
-    NotColumnRegular,
     NotRegularVector,
     ShapeMismatch,
     ValidationError,
@@ -30,7 +29,7 @@ def test_solve_upper_bound_golden():
 
 
 def test_solve_upper_bound_preconditions():
-    with pytest.raises(NotColumnRegular):
+    with pytest.raises(ZeroColumn, match="A must have no zero columns"):
         solve_upper_bound(mat([[1, Z], [1, Z]]), vec([0, 0]))
     with pytest.raises(NotRegularVector):
         solve_upper_bound(mat([[1], [1]]), vec([0, Z]))
