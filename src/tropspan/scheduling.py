@@ -20,10 +20,26 @@ v <= (f^- D S0)^-, parametrizes every optimal schedule.  That bound is always
 regular: f is finite, and D S0 has no zero column because A is regular and
 the star's diagonal is at least one.  So deadlines never make a schedule
 infeasible; they only shift the latest one.
+
+Lags given in half or quarter units would run all of this in Fraction
+arithmetic.  For L > 0, x -> L x is an automorphism of max-plus and of
+min-plus: it commutes with (+), (x), inversion and the order, so it keeps
+every comparison, ray and column order.  ScheduleInstance therefore takes L,
+the lcm of the denominators of A, B, C and f, and builds B (+) C A and its
+star on the data times L, in plain ints; solve_schedule runs D, the complete
+solution, the generators and the deadline bound on that lifted copy and
+divides each result by L, an integral value coming back as an int.  The
+public A, B, C, f, closure and precedence keep the data's own units, and so
+does a refusal's cycle weight: a lifted star that refuses is run again
+unlifted.  reduced_span_problem is not lifted.  The *-times semifields have
+no such scaling, and an L above LIFT_CAP costs more in big ints than it
+saves, so both take the unlifted path, which is the path of L = 1.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from operator import eq
 from typing import NamedTuple
 
@@ -35,31 +51,57 @@ from .errors import (
     ShapeMismatch,
     SpectralConditionViolated,
 )
-from .linalg import TropMatrix, TropVector, kleene_star, ray_key
-from .semifield import Scalar
+from .linalg import TropMatrix, TropVector, _trusted, kleene_star, ray_key
+from .semifield import MAX_PLUS, MIN_PLUS, ZERO, Scalar, _norm
 from .solvers import solve_upper_bound
 from .spanopt import DEFAULT_ENUMERATION_BUDGET, SpanProblem, complete_solution
 
+# Largest lift scale L: past it the products of big ints cost more than the
+# Fraction arithmetic they replace
+LIFT_CAP = 2 ** 62
+
 
 class ScheduleInstance:
-    """Validated scheduling data (A, B, C, f) for n activities."""
+    """Validated scheduling data (A, B, C, f) for n activities.
+
+    precedence is B (+) C A and closure its star.  _lifted is the (L, A,
+    closure, f) that solve_schedule runs on: the lifted copy, or with L = 1
+    the public objects themselves.
+    """
 
     def __init__(self, A: TropMatrix, B: TropMatrix, C: TropMatrix,
                  f: TropVector):
         self.check_data(A, B, C, f)
-        closed = B + (C @ A)
-        try:
-            self.closure = kleene_star(closed)
-        except SpectralConditionViolated as exc:
-            raise InfeasiblePrecedence(
-                f"cyclic precedence with positive total lag: {exc}") from None
         self.n = A.rows
         self.A = A
         self.B = B
         self.C = C
         self.f = f
         self.semifield = A.semifield
-        self.precedence = closed
+        scale = _lift_scale(A, B, C, f)
+        if scale > 1:
+            lifted_A = _rescaled(_lift, A, scale)
+            closed = (_rescaled(_lift, B, scale)
+                      + (_rescaled(_lift, C, scale) @ lifted_A))
+            try:
+                closure = kleene_star(closed)
+            except SpectralConditionViolated:
+                # the unlifted star refuses at the same pivot, and its
+                # message names the cycle weight in the data's own units
+                scale = 1
+            else:
+                self.precedence = _rescaled(_unlift, closed, scale)
+                self.closure = _rescaled(_unlift, closure, scale)
+                self._lifted = (scale, lifted_A, closure,
+                                _rescaled(_lift, f, scale))
+        if scale == 1:
+            self.precedence = B + (C @ A)
+            try:
+                self.closure = kleene_star(self.precedence)
+            except SpectralConditionViolated as exc:
+                raise InfeasiblePrecedence("cyclic precedence with positive "
+                                           f"total lag: {exc}") from None
+            self._lifted = (1, A, self.closure, f)
 
     @staticmethod
     def check_data(A: TropMatrix, B: TropMatrix, C: TropMatrix,
@@ -76,6 +118,43 @@ class ScheduleInstance:
             raise NotRegularMatrix("A must be regular (no zero rows or columns)")
         if not f.is_regular():
             raise NotRegularVector("late finish times f must all be finite")
+
+
+def _lift_scale(A: TropMatrix, B: TropMatrix, C: TropMatrix,
+                f: TropVector) -> int:
+    """The lcm L of the denominators of max-plus or min-plus data, or 1 when
+    it is above LIFT_CAP.  The *-times semifields have no such scaling: 1.
+    The lcm stops at the cap, as one of thousands of digits is slow to take."""
+    if A.semifield not in (MAX_PLUS, MIN_PLUS):
+        return 1
+    scale = 1
+    for e in set().union(*A.entries, *B.entries, *C.entries, f.entries):
+        if type(e) is Fraction:
+            scale = lcm(scale, e.denominator)
+            if scale > LIFT_CAP:
+                return 1
+    return scale
+
+
+def _lift(e: Scalar, scale: int) -> int:
+    """A finite value times scale, a multiple of its denominator: an int."""
+    return e.numerator * (scale // e.denominator)
+
+
+def _unlift(e: int, scale: int) -> Scalar:
+    """A lifted value divided by scale, as an int where integral."""
+    return _norm(Fraction(e, scale))
+
+
+def _rescaled(entry, x, scale: int):
+    """The TropMatrix or TropVector x with entry(e, scale) for each finite
+    entry e, computed once per distinct value, as values repeat."""
+    vector = isinstance(x, TropVector)
+    rows = (x.entries,) if vector else x.entries
+    new = {e: entry(e, scale) for e in set().union(*rows) if e is not ZERO}
+    new[ZERO] = ZERO
+    out = [[new[e] for e in row] for row in rows]
+    return _trusted(type(x), x.semifield, out[0] if vector else out)
 
 
 class ScheduleSolution(NamedTuple):
@@ -103,30 +182,43 @@ def reduced_span_problem(inst: ScheduleInstance,
     maxima of D."""
     if closure is None:
         closure = precedence_closure(inst)
-    D = inst.A @ closure
-    ones = TropVector.ones(inst.semifield, inst.n)
-    col_max = ones @ D
-    return SpanProblem(D, ones, col_max.conj())
+    return _span_problem(inst.A, closure)
+
+
+def _span_problem(A: TropMatrix, closure: TropMatrix) -> SpanProblem:
+    D = A @ closure
+    ones = TropVector.ones(A.semifield, A.rows)
+    return SpanProblem(D, ones, (ones @ D).conj())
 
 
 def solve_schedule(inst: ScheduleInstance, *,
                    budget: int | None = DEFAULT_ENUMERATION_BUDGET,
                    prune: bool = True) -> ScheduleSolution:
-    closure = precedence_closure(inst)
-    prob = reduced_span_problem(inst, closure)
-    sol = complete_solution(prob, budget=budget, prune=prune)
-    s0 = sol.generators.generators
-    x_gens = closure @ s0
+    """Solve on the instance's lifted data, then divide the results back."""
+    scale, A, closure, f = inst._lifted
+    prob = _span_problem(A, closure)
+    found = complete_solution(prob, budget=budget, prune=prune)
+    s0 = found.generators.generators
     y_gens = prob.A @ s0
-    return ScheduleSolution(
-        delta=sol.delta,
-        x_generators=x_gens,
+    sol = ScheduleSolution(
+        delta=found.delta,
+        x_generators=closure @ s0,
         y_generators=y_gens,
-        coeff_bound=solve_upper_bound(y_gens, inst.f),
+        coeff_bound=solve_upper_bound(y_gens, f),
         span_generators=s0,
         D=prob.A,
-        enumerated_count=sol.enumerated_count,
-        pruned_count=sol.pruned_count,
+        enumerated_count=found.enumerated_count,
+        pruned_count=found.pruned_count,
+    )
+    if scale == 1:
+        return sol
+    return sol._replace(
+        delta=_unlift(sol.delta, scale),
+        x_generators=_rescaled(_unlift, sol.x_generators, scale),
+        y_generators=_rescaled(_unlift, sol.y_generators, scale),
+        coeff_bound=_rescaled(_unlift, sol.coeff_bound, scale),
+        span_generators=_rescaled(_unlift, s0, scale),
+        D=_rescaled(_unlift, sol.D, scale),
     )
 
 

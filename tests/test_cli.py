@@ -134,6 +134,59 @@ def test_solve_golden_bytes(capsys, path, flags):
             == SOLVE_DIGESTS[path.stem, flags])
 
 
+# A schedule in half units, kept here and not in tests/data, with the sha256
+# of its json.dumps text's solution documents: its lags are solved on the
+# data times 2, and the documents must read as if they were not
+HALF_UNIT_SCHEDULE = {
+    "kind": "schedule",
+    "A": [["1/2", "-inf", "3/2", "-inf"], ["-3/2", 2, "-inf", 0],
+          ["-inf", "1/2", "5/2", "-inf"], [0, "-inf", "-1/2", 1]],
+    "B": [["-inf"] * 4, ["1/2", "-inf", "-inf", "-inf"],
+          ["-inf", "-5/2", "-inf", "-inf"], ["-inf"] * 4],
+    "C": [["-inf"] * 4, ["-inf"] * 4, ["-inf"] * 4,
+          ["-inf", "-3/2", "-inf", "-inf"]],
+    "f": ["15/2", 8, "17/2", "13/2"],
+}
+HALF_UNIT_DIGESTS = {
+    (): "ebc949585eb22ca41c3274bb3cac28ae10daf9a73bfc7d3d916b5bf04f96a2da",
+    ("--compact",):
+        "b756e3ca7f23560fab2e51ab52d939c2fe22a41a7973b44d869a35c87d71c812",
+    ("--exhaustive",):
+        "b885ecfb1f32c9e55feab5c1877958f14fcbda4977980339e2d764cbb3d1d686",
+}
+
+
+@pytest.mark.parametrize("flags", list(HALF_UNIT_DIGESTS),
+                         ids=["plain", "compact", "exhaustive"])
+def test_solve_half_unit_schedule_golden_bytes(tmp_path, capsys, flags):
+    problem = tmp_path / "half.json"
+    problem.write_text(json.dumps(HALF_UNIT_SCHEDULE))
+    code, out, err = run(capsys, "solve", "--input", str(problem), *flags)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == HALF_UNIT_DIGESTS[flags]
+    solution = tmp_path / "solution.json"
+    solution.write_text(out)
+    code, out, err = run(capsys, "verify", "--input", str(problem),
+                         "--candidates", str(solution))
+    assert code == 0, out + err
+    assert out.endswith("result: PASS\n")
+
+
+def test_solve_infeasible_quarter_units_names_the_cycle_weight(tmp_path,
+                                                               capsys):
+    # the star runs on the lags times 4, where this cycle weighs 2
+    problem = {"kind": "schedule", "A": [[0, 0], [0, 0]],
+               "B": [["-inf", "1/4"], ["1/4", "-inf"]],
+               "C": [["-inf", "-inf"], ["-inf", "-inf"]], "f": [5, 5]}
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(problem))
+    code, out, err = run(capsys, "solve", "--input", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("infeasible: cyclic precedence with positive total lag: a "
+                   "cycle through vertex 1 weighs 1/2, above the identity; "
+                   "A x <= x has no regular solution\n")
+
+
 def test_solve_deterministic(capsys):
     _, first, _ = run(capsys, "solve", "--input", SCHEDULE)
     _, second, _ = run(capsys, "solve", "--input", SCHEDULE)

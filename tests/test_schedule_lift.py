@@ -1,0 +1,204 @@
+"""The integer lift of schedules with Fraction lags against the unlifted
+pipeline.
+
+ScheduleInstance scales max-plus and min-plus data by the lcm L of its
+denominators and solve_schedule divides the results back.  The reference
+here recomposes the unlifted pipeline from public functions, so every field
+must come out equal with its Python type: an integral value as an int, the
+rest as Fractions.  test_cli pins the refusal text of a lifted schedule.
+"""
+
+import importlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from conftest import Z, mat, vec
+from tropspan import (
+    MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    EnumerationBudgetExceeded,
+    InfeasiblePrecedence,
+    ScheduleInstance,
+    SpanProblem,
+    TropMatrix,
+    TropVector,
+    complete_solution,
+    kleene_star,
+    latest_schedule,
+    solve_schedule,
+    solve_upper_bound,
+)
+from tropspan.documents import parse_problem
+from tropspan.scheduling import LIFT_CAP
+
+ROOT = Path(__file__).resolve().parent.parent
+BUDGET = 5000
+
+
+def typed(value):
+    """Nested tuples of (type name, value) for scalars, matrices, vectors."""
+    if isinstance(value, (TropMatrix, TropVector)):
+        return (value.semifield.name, typed(value.entries))
+    if isinstance(value, (tuple, list)):
+        return tuple(typed(v) for v in value)
+    return (type(value).__name__, value)
+
+
+def reference(inst: ScheduleInstance, prune: bool):
+    """closure, precedence and every ScheduleSolution field, unlifted."""
+    precedence = inst.B + inst.C @ inst.A
+    closure = kleene_star(precedence)
+    D = inst.A @ closure
+    ones = TropVector.ones(inst.semifield, inst.n)
+    found = complete_solution(SpanProblem(D, ones, (ones @ D).conj()),
+                              prune=prune, budget=BUDGET)
+    s0 = found.generators.generators
+    y_gens = D @ s0
+    return (closure, precedence, found.delta, closure @ s0, y_gens,
+            solve_upper_bound(y_gens, inst.f), s0, D, found.enumerated_count,
+            found.pruned_count)
+
+
+def assert_same_as_unlifted(inst: ScheduleInstance):
+    for prune in (True, False):
+        try:
+            want = reference(inst, prune)
+        except EnumerationBudgetExceeded as exc:
+            with pytest.raises(EnumerationBudgetExceeded) as got:
+                solve_schedule(inst, prune=prune, budget=BUDGET)
+            assert got.value.visited == exc.visited
+            continue
+        sol = solve_schedule(inst, prune=prune, budget=BUDGET)
+        assert typed((inst.closure, inst.precedence, *sol)) == typed(want)
+        x_gens, y_gens, bound = want[3:6]
+        assert typed(latest_schedule(sol)) == typed((x_gens @ bound,
+                                                     y_gens @ bound))
+
+
+def assert_keeps_no_lifted_copy(inst: ScheduleInstance):
+    scale, A, closure, f = inst._lifted
+    assert scale == 1
+    assert A is inst.A and closure is inst.closure and f is inst.f
+
+
+@pytest.fixture(scope="module")
+def half_unit_corpus():
+    """The n = 22 and 24 schedules, in half units, of the schedule-jit seed 1
+    corpus of benchmark/corpus.py, read and never written."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        texts, _ = importlib.import_module("corpus").schedule_jit(1)
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(str(ROOT / "benchmark"))
+        for name in ("corpus", "oracle"):
+            sys.modules.pop(name, None)
+    out = []
+    for text in texts:
+        entries = parse_problem(text).entries
+        if entries["A"].rows in (22, 24):
+            out.append(ScheduleInstance(*(entries[k] for k in "ABCf")))
+    return out
+
+
+def test_half_unit_corpus_schedules_match_the_unlifted_pipeline(
+        half_unit_corpus):
+    assert len(half_unit_corpus) == 18
+    for inst in half_unit_corpus:
+        assert inst._lifted[0] == 2
+        assert_same_as_unlifted(inst)
+
+
+def random_fraction_schedule(rng: random.Random, sf, n: int,
+                             fractional_f: bool) -> ScheduleInstance:
+    """Lags with denominators drawn from 1, 2, 3, 4 and 10, sampled until
+    the precedence is feasible; the lags of B and C lean towards the
+    semifield's lighter side, so most draws are."""
+    dens = rng.sample((1, 2, 3, 4, 10), rng.randint(1, 3))
+    light = (-12, 2) if sf is MAX_PLUS else (-2, 12)
+
+    def lag(density, lo=-12, hi=12):
+        if rng.random() > density:
+            return Z
+        return Fraction(rng.randint(lo, hi), rng.choice(dens))
+
+    while True:
+        A = [[lag(0.7) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            if A[i][i] is Z:
+                A[i][i] = lag(1.0)
+        B, C = ([[lag(0.3, *light) for _ in range(n)] for _ in range(n)]
+                for _ in "BC")
+        f = [Fraction(rng.randint(0, 40), rng.choice(dens)) if fractional_f
+             else rng.randint(0, 10) for _ in range(n)]
+        try:
+            return ScheduleInstance(mat(A, sf), mat(B, sf), mat(C, sf),
+                                    vec(f, sf))
+        except InfeasiblePrecedence:
+            continue
+
+
+def test_random_fraction_schedules_match_the_unlifted_pipeline():
+    rng = random.Random(20)
+    lifts = set()
+    for index in range(200):
+        sf = MIN_PLUS if index % 4 == 3 else MAX_PLUS
+        inst = random_fraction_schedule(rng, sf, rng.randint(1, 5),
+                                        index % 2 == 1)
+        lifts.add(inst._lifted[0])
+        assert_same_as_unlifted(inst)
+    # integral draws, denominators 2, 3, 4 and 10, and lcms up to 60
+    assert {1, 2, 3, 4, 10, 12, 60}.issubset(lifts)
+
+
+def test_times_semifield_is_not_lifted():
+    inst = ScheduleInstance(mat([[Fraction(1, 2)]], MAX_TIMES),
+                            mat([[Z]], MAX_TIMES), mat([[Z]], MAX_TIMES),
+                            vec([Fraction(3, 2)], MAX_TIMES))
+    assert_keeps_no_lifted_copy(inst)
+    assert_same_as_unlifted(inst)
+
+
+def primes(count: int) -> list[int]:
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def test_lcm_above_the_cap_takes_the_unlifted_path():
+    # 20 distinct prime denominators: their lcm is about 5.6e26 > 2**62
+    dens = iter(primes(20))
+    n = 4
+    A = [[Fraction(i - j, next(dens)) if i >= j else Z for j in range(n)]
+         for i in range(n)]
+    B = [[Fraction(1, next(dens)) if i > j else Z for j in range(n)]
+         for i in range(n)]
+    f = [Fraction(7, next(dens)) for _ in range(n)]
+    inst = ScheduleInstance(mat(A), mat(B), mat([[Z] * n] * n), vec(f))
+    assert_keeps_no_lifted_copy(inst)
+    assert_same_as_unlifted(inst)
+
+
+def test_lcm_at_the_cap_is_lifted_and_one_past_it_is_not():
+    def instance(*dens):
+        return ScheduleInstance(mat([[Fraction(1, d) for d in dens]] * 2),
+                                mat([[Z, Z], [Z, Z]]), mat([[Z, Z], [Z, Z]]),
+                                vec([1, 2]))
+
+    at_cap = instance(LIFT_CAP, 2)
+    assert at_cap._lifted[0] == LIFT_CAP
+    assert_same_as_unlifted(at_cap)
+    past_cap = instance(LIFT_CAP, 3)
+    assert_keeps_no_lifted_copy(past_cap)
+    assert_same_as_unlifted(past_cap)
+

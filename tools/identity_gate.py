@@ -9,7 +9,8 @@ Prints one sha256 per workload and seed, and one for the command line:
                            when that budget is overrun); the chosen_col
                            listing of enumerate_selections, pruned in full
                            and the first 3000 exhaustive ones
-  schedule-jit             solve_schedule and latest_schedule
+  schedule-jit             every field of solve_schedule, latest_schedule,
+                           and the instance's closure and precedence
   cli                      stdout, stderr and exit code of solve (plain,
                            --exhaustive, --compact), enumerate (plain,
                            --exhaustive), plot, verify of both solution
@@ -124,12 +125,14 @@ def span_lines(texts):
 def schedule_lines(texts):
     for text in texts:
         entries = parse_problem(text).entries
-        sol = solve_schedule(ScheduleInstance(*(entries[k] for k in "ABCf")))
+        inst = ScheduleInstance(*(entries[k] for k in "ABCf"))
+        sol = solve_schedule(inst)
         x, y = latest_schedule(sol)
         yield typed((sol.delta, sol.span_generators.entries,
                      sol.x_generators.entries, sol.y_generators.entries,
                      sol.coeff_bound.entries, sol.enumerated_count,
-                     sol.pruned_count, x.entries, y.entries))
+                     sol.pruned_count, x.entries, y.entries, sol.D.entries,
+                     inst.closure.entries, inst.precedence.entries))
 
 
 def candidates(problem: str, solution: str) -> str:
