@@ -33,7 +33,6 @@ from .linalg import (
     kleene_star,
     reduce_to_independent,
     residuation_coefficients,
-    trace,
     trace_closure,
 )
 from .scheduling import (

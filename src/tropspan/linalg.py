@@ -314,16 +314,6 @@ class TropMatrix:
                    for a, b in zip(ra, rb))
 
 
-def trace(matrix: TropMatrix) -> Scalar:
-    if not matrix.is_square():
-        raise NotSquare(f"trace of a {matrix.rows}x{matrix.cols} matrix")
-    sf = matrix.semifield
-    acc = ZERO
-    for i in range(matrix.rows):
-        acc = sf.add(acc, matrix.entries[i][i])
-    return acc
-
-
 def trace_closure(matrix: TropMatrix) -> Scalar:
     """Tr(A): tropical sum of the traces of A^1 .. A^n."""
     if not matrix.is_square():
@@ -332,7 +322,8 @@ def trace_closure(matrix: TropMatrix) -> Scalar:
     acc = ZERO
     power = matrix
     for k in range(matrix.rows):
-        acc = sf.add(acc, trace(power))
+        for i in range(matrix.rows):
+            acc = sf.add(acc, power.entries[i][i])
         if k + 1 < matrix.rows:
             power = power @ matrix
     return acc

@@ -33,7 +33,7 @@ public A, B, C, f, closure and precedence keep the data's own units, and so
 does a refusal's cycle weight: a lifted star that refuses is run again
 unlifted.  reduced_span_problem is not lifted.  The *-times semifields have
 no such scaling, and an L above LIFT_CAP costs more in big ints than it
-saves, so both take the unlifted path, which is the path of L = 1.
+saves, so for both L is 1 and every rescale returns its input.
 """
 
 from __future__ import annotations
@@ -79,29 +79,24 @@ class ScheduleInstance:
         self.f = f
         self.semifield = A.semifield
         scale = _lift_scale(A, B, C, f)
-        if scale > 1:
-            lifted_A = _rescaled(_lift, A, scale)
-            closed = (_rescaled(_lift, B, scale)
-                      + (_rescaled(_lift, C, scale) @ lifted_A))
-            try:
-                closure = kleene_star(closed)
-            except SpectralConditionViolated:
+        lifted_A = _rescaled(A, scale)
+        closed = _rescaled(B, scale) + (_rescaled(C, scale) @ lifted_A)
+        try:
+            closure = kleene_star(closed)
+        except SpectralConditionViolated as exc:
+            if scale > 1:
                 # the unlifted star refuses at the same pivot, and its
                 # message names the cycle weight in the data's own units
-                scale = 1
-            else:
-                self.precedence = _rescaled(_unlift, closed, scale)
-                self.closure = _rescaled(_unlift, closure, scale)
-                self._lifted = (scale, lifted_A, closure,
-                                _rescaled(_lift, f, scale))
-        if scale == 1:
-            self.precedence = B + (C @ A)
-            try:
-                self.closure = kleene_star(self.precedence)
-            except SpectralConditionViolated as exc:
-                raise InfeasiblePrecedence("cyclic precedence with positive "
-                                           f"total lag: {exc}") from None
-            self._lifted = (1, A, self.closure, f)
+                try:
+                    kleene_star(B + (C @ A))
+                except SpectralConditionViolated as unlifted:
+                    exc = unlifted
+            raise InfeasiblePrecedence("cyclic precedence with positive "
+                                       f"total lag: {exc}") from None
+        back = Fraction(1, scale)
+        self.precedence = _rescaled(closed, back)
+        self.closure = _rescaled(closure, back)
+        self._lifted = (scale, lifted_A, closure, _rescaled(f, scale))
 
     @staticmethod
     def check_data(A: TropMatrix, B: TropMatrix, C: TropMatrix,
@@ -136,22 +131,15 @@ def _lift_scale(A: TropMatrix, B: TropMatrix, C: TropMatrix,
     return scale
 
 
-def _lift(e: Scalar, scale: int) -> int:
-    """A finite value times scale, a multiple of its denominator: an int."""
-    return e.numerator * (scale // e.denominator)
-
-
-def _unlift(e: int, scale: int) -> Scalar:
-    """A lifted value divided by scale, as an int where integral."""
-    return _norm(Fraction(e, scale))
-
-
-def _rescaled(entry, x, scale: int):
-    """The TropMatrix or TropVector x with entry(e, scale) for each finite
-    entry e, computed once per distinct value, as values repeat."""
+def _rescaled(x, factor):
+    """The TropMatrix or TropVector x with each finite entry times factor, an
+    integral value as an int; x itself when factor is 1.  Each distinct value
+    is computed once, as values repeat."""
+    if factor == 1:
+        return x
     vector = isinstance(x, TropVector)
     rows = (x.entries,) if vector else x.entries
-    new = {e: entry(e, scale) for e in set().union(*rows) if e is not ZERO}
+    new = {e: _norm(e * factor) for e in set().union(*rows) if e is not ZERO}
     new[ZERO] = ZERO
     out = [[new[e] for e in row] for row in rows]
     return _trusted(type(x), x.semifield, out[0] if vector else out)
@@ -196,29 +184,20 @@ def solve_schedule(inst: ScheduleInstance, *,
                    prune: bool = True) -> ScheduleSolution:
     """Solve on the instance's lifted data, then divide the results back."""
     scale, A, closure, f = inst._lifted
+    back = Fraction(1, scale)
     prob = _span_problem(A, closure)
     found = complete_solution(prob, budget=budget, prune=prune)
     s0 = found.generators.generators
     y_gens = prob.A @ s0
-    sol = ScheduleSolution(
-        delta=found.delta,
-        x_generators=closure @ s0,
-        y_generators=y_gens,
-        coeff_bound=solve_upper_bound(y_gens, f),
-        span_generators=s0,
-        D=prob.A,
+    return ScheduleSolution(
+        delta=_norm(found.delta * back),
+        x_generators=_rescaled(closure @ s0, back),
+        y_generators=_rescaled(y_gens, back),
+        coeff_bound=_rescaled(solve_upper_bound(y_gens, f), back),
+        span_generators=_rescaled(s0, back),
+        D=_rescaled(prob.A, back),
         enumerated_count=found.enumerated_count,
         pruned_count=found.pruned_count,
-    )
-    if scale == 1:
-        return sol
-    return sol._replace(
-        delta=_unlift(sol.delta, scale),
-        x_generators=_rescaled(_unlift, sol.x_generators, scale),
-        y_generators=_rescaled(_unlift, sol.y_generators, scale),
-        coeff_bound=_rescaled(_unlift, sol.coeff_bound, scale),
-        span_generators=_rescaled(_unlift, s0, scale),
-        D=_rescaled(_unlift, sol.D, scale),
     )
 
 

@@ -5,7 +5,8 @@ ScheduleInstance scales max-plus and min-plus data by the lcm L of its
 denominators and solve_schedule divides the results back.  The reference
 here recomposes the unlifted pipeline from public functions, so every field
 must come out equal with its Python type: an integral value as an int, the
-rest as Fractions.  test_cli pins the refusal text of a lifted schedule.
+rest as Fractions.  test_cli pins the refusal text of a lifted max-plus
+schedule, and the min-plus one is pinned here.
 """
 
 import importlib
@@ -202,3 +203,14 @@ def test_lcm_at_the_cap_is_lifted_and_one_past_it_is_not():
     assert_keeps_no_lifted_copy(past_cap)
     assert_same_as_unlifted(past_cap)
 
+
+
+def test_min_plus_lifted_refusal_names_the_cycle_weight_in_data_units():
+    # the star runs on the lags times 4, where this cycle weighs -2
+    quarter = Fraction(-1, 4)
+    with pytest.raises(InfeasiblePrecedence) as refused:
+        ScheduleInstance(mat([[0, 0], [0, 0]], MIN_PLUS),
+                         mat([[Z, quarter], [quarter, Z]], MIN_PLUS),
+                         mat([[Z, Z], [Z, Z]], MIN_PLUS),
+                         vec([5, 5], MIN_PLUS))
+    assert "a cycle through vertex 1 weighs -1/2" in str(refused.value)

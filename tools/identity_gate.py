@@ -78,6 +78,7 @@ REFUSED_PROBLEMS = (
     SCHEDULE % ("[[0, 0, 0], [0, 0, 0]]", "[[0, 0], [0, 0]]", "[5, 5]"),
     SCHEDULE % ("[[0, 0], [0, 0]]", "[[0, 0], [0, 0]]", '[5, "-inf"]'),
     SCHEDULE % ("[[0, 0], [0, 0]]", '[[1, "-inf"], ["-inf", "-inf"]]', "[5, 5]"),
+    SCHEDULE % ("[[0, 0], [0, 0]]", '[["-inf", "1/4"], ["1/4", "-inf"]]', "[5, 5]"),
 )
 REFUSED_CANDIDATES = (
     ("span", '{"kind": "candidates", "vectors": []}'),
