@@ -70,13 +70,6 @@ def _write(path: str, text: str) -> None:
 
 # -- solve --------------------------------------------------------------------
 
-def _problem(doc):
-    """The SpanProblem or ScheduleInstance of a problem document."""
-    if doc.kind == docs.KIND_SPAN:
-        return doc.to_span_problem()
-    return doc.to_schedule_instance()
-
-
 def _solution_document(problem, digest, *, budget, prune, compact):
     if isinstance(problem, SpanProblem):
         sol = complete_solution(problem, budget=budget, prune=prune)
@@ -112,7 +105,7 @@ def _solution_document(problem, digest, *, budget, prune, compact):
 
 def cmd_solve(args) -> int:
     text = _read(args.input)
-    problem = _problem(docs.parse_problem(text))
+    problem = docs.parse_problem(text).problem()
     solution = _solution_document(problem, docs.input_digest(text),
                                   budget=args.budget, prune=not args.exhaustive,
                                   compact=args.compact)
@@ -194,7 +187,7 @@ def cmd_verify(args) -> int:
     # candidates are read before the problem is built, so a malformed
     # candidates file is refused (exit 2) even for an infeasible schedule
     shape, payload = docs.parse_candidates(_read(args.candidates), doc)
-    problem = _problem(doc)
+    problem = doc.problem()
     if shape == "solution":
         lines, ok = _verify_solution_document(doc, problem, docs.input_digest(text),
                                               payload, budget=args.budget)

@@ -11,7 +11,8 @@ Problem files carry a "kind" of "span" (fields A, p, q) or "schedule"
 (fields A, B, C, f); solution documents echo a SHA-256 of the input text so
 a result can always be matched to the problem that produced it.  The
 matrices and vectors of every kind are listed in _FIELDS by dotted JSON
-path, and one reader and one writer serve all four kinds.
+path, and one reader and one writer serve all four kinds.  _PROBLEMS names
+the class that checks and holds each kind of problem.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ KIND_SPAN_SOLUTION = "span-solution"
 KIND_SCHEDULE_SOLUTION = "schedule-solution"
 
 # The matrices and vectors of each kind of document, by dotted JSON path.
-# A problem's entries come in the argument order of its check_data.
+# A problem's entries come in the argument order of its class in _PROBLEMS.
 _FIELDS = {
     KIND_SPAN: {"A": "matrix", "p": "vector", "q": "vector"},
     KIND_SCHEDULE: {"A": "matrix", "B": "matrix", "C": "matrix", "f": "vector"},
@@ -44,6 +45,9 @@ _FIELDS = {
                              "y_generators": "matrix", "coefficient_bound": "vector",
                              "latest.x": "vector", "latest.y": "vector"},
 }
+
+# The class that checks and holds the data of each kind of problem
+_PROBLEMS = {KIND_SPAN: SpanProblem, KIND_SCHEDULE: ScheduleInstance}
 
 # Below the 4300 digits that int <-> str conversion accepts by default, with
 # room for the sums of entries a solution holds.
@@ -250,17 +254,14 @@ class ProblemDocument(NamedTuple):
     entries: dict  # name -> TropMatrix | TropVector
     metadata: dict  # str -> str
 
+    def problem(self) -> SpanProblem | ScheduleInstance:
+        """The SpanProblem or ScheduleInstance the document describes."""
+        return _PROBLEMS[self.kind](*self.entries.values())
+
     def to_span_problem(self) -> SpanProblem:
         if self.kind != KIND_SPAN:
             raise ValidationError(f"expected a {KIND_SPAN} problem, got {self.kind}")
-        return SpanProblem(self.entries["A"], self.entries["p"], self.entries["q"])
-
-    def to_schedule_instance(self) -> ScheduleInstance:
-        if self.kind != KIND_SCHEDULE:
-            raise ValidationError(
-                f"expected a {KIND_SCHEDULE} problem, got {self.kind}")
-        return ScheduleInstance(self.entries["A"], self.entries["B"],
-                                self.entries["C"], self.entries["f"])
+        return self.problem()
 
 
 def parse_problem(text: str) -> ProblemDocument:
@@ -280,9 +281,8 @@ def parse_problem(text: str) -> ProblemDocument:
             for k, v in metadata.items()):
         raise ParseError("metadata must map strings to strings")
 
-    check = SpanProblem.check_data if kind == KIND_SPAN else ScheduleInstance.check_data
     try:
-        check(*entries.values())
+        _PROBLEMS[kind].check_data(*entries.values())
     except TropicalError as exc:
         raise ValidationError(str(exc)) from None
     return ProblemDocument(kind=kind, entries=entries, metadata=dict(metadata))

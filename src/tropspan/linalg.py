@@ -27,6 +27,12 @@ Each of the paper's three operations has one kernel here:
                               of S iff the greatest subsolution v of
                               S v <= x has S v == x
 
+Operands are checked by one rule, _check_operands, which every operation
+on two of them runs, here and in the modules built on this one: operands
+over two semifields are refused as "mixed semifields", and then sizes that
+do not fit, with the operation's own message.  So no operand is ever read in
+another semifield's arithmetic.
+
 Scalars are validated once, where they enter: the public TropVector(...) and
 TropMatrix(...) constructors run Semifield.check_value on every entry, and
 from_columns and scale check what they are handed.  Results that the
@@ -51,10 +57,14 @@ from .errors import (
 from .semifield import ZERO, Scalar, Semifield
 
 
-def _check_same_semifield(a, b):
+def _check_operands(a, b, size_a, size_b, message: str) -> None:
+    """Refuse operands a and b over two semifields, then sizes that differ,
+    with message formatted by (size_a, size_b)."""
     if a.semifield is not b.semifield:
         raise ShapeMismatch(
             f"mixed semifields: {a.semifield.name} vs {b.semifield.name}")
+    if size_a != size_b:
+        raise ShapeMismatch(message.format(size_a, size_b))
 
 
 def _trusted(cls, semifield: Semifield, entries):
@@ -84,8 +94,24 @@ def _product(sf: Semifield, rows, other_rows, width: int) -> list[list]:
     return out
 
 
-class TropVector:
+class _Array:
+    """What TropVector and TropMatrix share: a semifield, a tuple of entries,
+    and equality of both, between objects of one type: a vector never equals
+    a matrix."""
+
     __slots__ = ("semifield", "entries")
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self.semifield is other.semifield
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((id(self.semifield), self.entries))
+
+
+class TropVector(_Array):
+    __slots__ = ()
 
     def __init__(self, semifield: Semifield, entries: Iterable[Scalar]):
         check = semifield.check_value
@@ -114,14 +140,6 @@ class TropVector:
     def __iter__(self):
         return iter(self.entries)
 
-    def __eq__(self, other):
-        return (isinstance(other, TropVector)
-                and self.semifield is other.semifield
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((id(self.semifield), self.entries))
-
     def __repr__(self):
         sf = self.semifield
         return "(" + ", ".join(sf.format_scalar(e) for e in self.entries) + ")"
@@ -137,9 +155,7 @@ class TropVector:
         return tuple(i for i, e in enumerate(self.entries) if e is not ZERO)
 
     def __add__(self, other: "TropVector") -> "TropVector":
-        _check_same_semifield(self, other)
-        if self.dim != other.dim:
-            raise ShapeMismatch(f"vector dims {self.dim} vs {other.dim}")
+        _check_operands(self, other, self.dim, other.dim, "vector dims {} vs {}")
         add = self.semifield.add
         return _trusted(TropVector, self.semifield,
                         [add(a, b) for a, b in zip(self.entries, other.entries)])
@@ -160,30 +176,25 @@ class TropVector:
     def __matmul__(self, other):
         # x @ A: row vector through a matrix; x @ y: dot product, 1 x 1
         if isinstance(other, TropMatrix):
-            _check_same_semifield(self, other)
-            if self.dim != other.rows:
-                raise ShapeMismatch(f"row vector dim {self.dim} vs {other.rows} rows")
+            _check_operands(self, other, self.dim, other.rows,
+                            "row vector dim {} vs {} rows")
             return _trusted(TropVector, self.semifield, _product(
                 self.semifield, (self.entries,), other.entries, other.cols)[0])
         if isinstance(other, TropVector):
-            _check_same_semifield(self, other)
-            if self.dim != other.dim:
-                raise ShapeMismatch(f"vector dims {self.dim} vs {other.dim}")
+            _check_operands(self, other, self.dim, other.dim, "vector dims {} vs {}")
             return _product(self.semifield, (self.entries,),
                             zip(other.entries), 1)[0][0]
         return NotImplemented
 
     def le(self, other: "TropVector") -> bool:
         """Entry-wise semifield order."""
-        _check_same_semifield(self, other)
-        if self.dim != other.dim:
-            raise ShapeMismatch(f"vector dims {self.dim} vs {other.dim}")
+        _check_operands(self, other, self.dim, other.dim, "vector dims {} vs {}")
         le = self.semifield.le
         return all(le(a, b) for a, b in zip(self.entries, other.entries))
 
 
-class TropMatrix:
-    __slots__ = ("semifield", "entries", "rows", "cols")
+class TropMatrix(_Array):
+    __slots__ = ("rows", "cols")
 
     def __init__(self, semifield: Semifield, rows: Iterable[Iterable[Scalar]]):
         check = semifield.check_value
@@ -235,14 +246,6 @@ class TropMatrix:
     def columns(self) -> list[TropVector]:
         return [self.col(j) for j in range(self.cols)]
 
-    def __eq__(self, other):
-        return (isinstance(other, TropMatrix)
-                and self.semifield is other.semifield
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((id(self.semifield), self.entries))
-
     def __repr__(self):
         sf = self.semifield
         body = "\n".join(
@@ -272,9 +275,7 @@ class TropMatrix:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "TropMatrix") -> "TropMatrix":
-        _check_same_semifield(self, other)
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"shapes {self.shape} vs {other.shape}")
+        _check_operands(self, other, self.shape, other.shape, "shapes {} vs {}")
         add = self.semifield.add
         return _trusted(TropMatrix, self.semifield,
                         [[add(a, b) for a, b in zip(ra, rb)]
@@ -282,16 +283,13 @@ class TropMatrix:
 
     def __matmul__(self, other):
         if isinstance(other, TropMatrix):
-            _check_same_semifield(self, other)
-            if self.cols != other.rows:
-                raise ShapeMismatch(f"inner dims {self.cols} vs {other.rows}")
+            _check_operands(self, other, self.cols, other.rows, "inner dims {} vs {}")
             return _trusted(TropMatrix, self.semifield, _product(
                 self.semifield, self.entries, other.entries, other.cols))
         if isinstance(other, TropVector):
             # A x as x^T A^T: one row through the columns of A
-            _check_same_semifield(self, other)
-            if self.cols != other.dim:
-                raise ShapeMismatch(f"matrix cols {self.cols} vs vector dim {other.dim}")
+            _check_operands(self, other, self.cols, other.dim,
+                            "matrix cols {} vs vector dim {}")
             return _trusted(TropVector, self.semifield, _product(
                 self.semifield, (other.entries,), zip(*self.entries), self.rows)[0])
         return NotImplemented
@@ -306,9 +304,7 @@ class TropMatrix:
                          for col in zip(*self.entries)])
 
     def le(self, other: "TropMatrix") -> bool:
-        _check_same_semifield(self, other)
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"shapes {self.shape} vs {other.shape}")
+        _check_operands(self, other, self.shape, other.shape, "shapes {} vs {}")
         le = self.semifield.le
         return all(le(a, b) for ra, rb in zip(self.entries, other.entries)
                    for a, b in zip(ra, rb))
@@ -375,8 +371,7 @@ def delta(matrix: TropMatrix, b: TropVector) -> Scalar:
         raise AllZeroMatrix("delta requires a nonzero matrix")
     if b.is_zero():
         raise ZeroVector("delta requires a nonzero vector")
-    if matrix.rows != b.dim:
-        raise ShapeMismatch(f"matrix rows {matrix.rows} vs vector dim {b.dim}")
+    _check_operands(matrix, b, matrix.rows, b.dim, "matrix rows {} vs vector dim {}")
     residual = b.conj() @ matrix
     if residual.is_zero():
         return ZERO
@@ -412,8 +407,7 @@ def residuation_coefficients(matrix: TropMatrix, b: TropVector) -> TropVector:
     drops exactly those rows.  An all-zero column gets the zero coefficient
     too.
     """
-    if matrix.rows != b.dim:
-        raise ShapeMismatch(f"matrix rows {matrix.rows} vs vector dim {b.dim}")
+    _check_operands(matrix, b, matrix.rows, b.dim, "matrix rows {} vs vector dim {}")
     sf = matrix.semifield
     inv = sf.inv
     b_conj = [ZERO if e is ZERO else inv(e) for e in b.entries]
@@ -429,12 +423,11 @@ def residuation_coefficients(matrix: TropMatrix, b: TropVector) -> TropVector:
 def depends_on(matrix: TropMatrix, b: TropVector) -> bool:
     """Whether b is a tropical combination of the columns of A.
 
-    Checks that the greatest subsolution of A x <= b reproduces b exactly.
+    Checks that the greatest subsolution of A x <= b reproduces b exactly;
+    for a zero A or b that subsolution is zero, and the answer False.
     Dependence here implies delta(A, b) = one; the converse can fail when b
     has zero components, in the blind spots of the conjugate form.
     """
-    if matrix.is_zero() or b.is_zero():
-        return False
     greatest = residuation_coefficients(matrix, b)
     if greatest.is_zero():
         return False

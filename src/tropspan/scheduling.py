@@ -51,7 +51,8 @@ from .errors import (
     ShapeMismatch,
     SpectralConditionViolated,
 )
-from .linalg import TropMatrix, TropVector, _trusted, kleene_star, ray_key
+from .linalg import (TropMatrix, TropVector, _check_operands, _trusted,
+                     kleene_star, ray_key)
 from .semifield import MAX_PLUS, MIN_PLUS, ZERO, Scalar, _norm
 from .solvers import solve_upper_bound
 from .spanopt import DEFAULT_ENUMERATION_BUDGET, SpanProblem, complete_solution
@@ -101,14 +102,14 @@ class ScheduleInstance:
     @staticmethod
     def check_data(A: TropMatrix, B: TropMatrix, C: TropMatrix,
                    f: TropVector) -> None:
-        """Refuse data that is not a schedule: A, B, C square of one size n,
-        A regular and f finite.  Feasibility is the Kleene star's to decide."""
+        """Refuse data that is not a schedule: A, B, C square of one size n
+        and f of n components, all over A's semifield, A regular and f
+        finite.  Feasibility is the Kleene star's to decide."""
         n = A.rows
         for name, mat in (("A", A), ("B", B), ("C", C)):
-            if mat.shape != (n, n):
-                raise ShapeMismatch(f"{name} must be {n}x{n}, got {mat.shape}")
-        if f.dim != n:
-            raise ShapeMismatch(f"f must have {n} components, got {f.dim}")
+            _check_operands(A, mat, mat.shape, (n, n),
+                            f"{name} must be {n}x{n}, got {{}}")
+        _check_operands(A, f, f.dim, n, f"f must have {n} components, got {{}}")
         if not A.is_regular():
             raise NotRegularMatrix("A must be regular (no zero rows or columns)")
         if not f.is_regular():
@@ -168,9 +169,7 @@ def reduced_span_problem(inst: ScheduleInstance,
                          closure: TropMatrix | None = None) -> SpanProblem:
     """Span problem over D = A (B (+) CA)* with p all-one and q^- the column
     maxima of D."""
-    if closure is None:
-        closure = precedence_closure(inst)
-    return _span_problem(inst.A, closure)
+    return _span_problem(inst.A, inst.closure if closure is None else closure)
 
 
 def _span_problem(A: TropMatrix, closure: TropMatrix) -> SpanProblem:
@@ -203,8 +202,8 @@ def solve_schedule(inst: ScheduleInstance, *,
 
 def instantiate(sol: ScheduleSolution, v: TropVector) -> tuple[TropVector, TropVector]:
     """Concrete schedule for an admissible coefficient vector."""
-    if v.dim != sol.coeff_bound.dim:
-        raise ShapeMismatch(f"v has dim {v.dim}, expected {sol.coeff_bound.dim}")
+    _check_operands(v, sol.coeff_bound, v.dim, sol.coeff_bound.dim,
+                    "v has dim {}, expected {}")
     if not v.is_regular():
         raise NotRegularVector("coefficient vector must be regular")
     if not v.le(sol.coeff_bound):

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from .errors import (
     NotRegularVector,
-    ShapeMismatch,
     ValidationError,
     ZeroColumn,
 )
-from .linalg import TropMatrix, TropVector, _trusted, residuation_coefficients
+from .linalg import (TropMatrix, TropVector, _check_operands, _trusted,
+                     residuation_coefficients)
 from .semifield import Semifield
 
 
@@ -32,8 +32,7 @@ class IntervalSet:
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: TropVector, upper: TropVector):
-        if lower.dim != upper.dim:
-            raise ShapeMismatch(f"interval dims {lower.dim} vs {upper.dim}")
+        _check_operands(lower, upper, lower.dim, upper.dim, "interval dims {} vs {}")
         if not upper.is_regular():
             raise NotRegularVector("interval upper bound must be regular")
         if not lower.le(upper):
@@ -62,8 +61,6 @@ def solve_upper_bound(matrix: TropMatrix, d: TropVector) -> TropVector:
         raise ZeroColumn("A must have no zero columns")
     if not d.is_regular():
         raise NotRegularVector("right-hand side d must be regular")
-    if matrix.rows != d.dim:
-        raise ShapeMismatch(f"matrix rows {matrix.rows} vs vector dim {d.dim}")
     return residuation_coefficients(matrix, d)
 
 

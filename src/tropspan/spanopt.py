@@ -39,7 +39,8 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .linalg import TropMatrix, TropVector, _trusted, extremal_rays, ray_key
+from .linalg import (TropMatrix, TropVector, _check_operands, _trusted,
+                     extremal_rays, ray_key)
 from .semifield import ZERO, Scalar
 from .solvers import GeneratorSet, IntervalSet, generator_columns
 
@@ -60,10 +61,8 @@ class SpanProblem:
         q regular, shapes and semifield agreeing."""
         if A.semifield is not p.semifield or A.semifield is not q.semifield:
             raise ShapeMismatch("A, p, q must share one semifield")
-        if p.dim != A.rows:
-            raise ShapeMismatch(f"p has dim {p.dim}, A has {A.rows} rows")
-        if q.dim != A.cols:
-            raise ShapeMismatch(f"q has dim {q.dim}, A has {A.cols} columns")
+        _check_operands(p, A, p.dim, A.rows, "p has dim {}, A has {} rows")
+        _check_operands(q, A, q.dim, A.cols, "q has dim {}, A has {} columns")
         if not A.is_row_regular():
             raise NotRegularMatrix("A must be row-regular (no zero rows)")
         if p.is_zero():
@@ -92,8 +91,7 @@ class SpanProblem:
 
 def objective(prob: SpanProblem, x: TropVector) -> Scalar:
     """Evaluate q^- x (A x)^- p at a regular x."""
-    if x.dim != prob.A.cols:
-        raise ShapeMismatch(f"x has dim {x.dim}, expected {prob.A.cols}")
+    _check_operands(x, prob.A, x.dim, prob.A.cols, "x has dim {}, expected {}")
     if not x.is_regular():
         raise NotRegularVector("the objective is defined for regular x")
     sf = prob.semifield
@@ -108,8 +106,7 @@ def attains_minimum(prob: SpanProblem, x: TropVector) -> bool:
     components satisfy the same system even though the objective itself is
     restricted to regular vectors.
     """
-    if x.dim != prob.A.cols:
-        raise ShapeMismatch(f"x has dim {x.dim}, expected {prob.A.cols}")
+    _check_operands(x, prob.A, x.dim, prob.A.cols, "x has dim {}, expected {}")
     if x.is_zero():
         raise ZeroVector("optimality of the zero vector is undefined")
     sf = prob.semifield
@@ -187,8 +184,7 @@ def enumerate_selections(sparse: TropMatrix, p: TropVector, *,
     """
     if not sparse.is_row_regular():
         raise NotRegularMatrix("selection enumeration needs a row-regular matrix")
-    if p.dim != sparse.rows:
-        raise ShapeMismatch(f"p has dim {p.dim}, matrix has {sparse.rows} rows")
+    _check_operands(p, sparse, p.dim, sparse.rows, "p has dim {}, matrix has {} rows")
     return _selections(sparse, p, prune, budget)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 from conftest import Z, mat, vec
 from tropspan import ParseError, ValidationError
 from tropspan.documents import (
+    _FIELDS,
+    _PROBLEMS,
     input_digest,
     parse_candidates,
     parse_problem,
@@ -32,9 +35,16 @@ def test_parse_span_problem_file():
 
 def test_parse_schedule_problem_file():
     doc = parse_problem((DATA / "schedule_demo.json").read_text())
-    inst = doc.to_schedule_instance()
+    inst = doc.problem()
     assert inst.n == 3
     assert inst.A.entries[0][2] is Z
+
+
+@pytest.mark.parametrize("kind", ["span", "schedule"])
+def test_fields_list_the_problem_parameters_in_order(kind):
+    # problem() and check_data take a document's entries by position
+    parameters = list(inspect.signature(_PROBLEMS[kind].__init__).parameters)
+    assert list(_FIELDS[kind]) == parameters[1:]
 
 
 def test_zero_token_and_rationals():
@@ -202,8 +212,8 @@ def _candidates(text, problem="span_demo.json"):
      "metadata must map strings to strings"),
     (lambda: parse_problem(_span_text(metadata=["name"])), ParseError,
      "metadata must map strings to strings"),
-    (lambda: parse_problem(_span_text()).to_schedule_instance(), ValidationError,
-     "expected a schedule problem, got span"),
+    (lambda: parse_problem((DATA / "schedule_demo.json").read_text()).to_span_problem(),
+     ValidationError, "expected a span problem, got schedule"),
     (lambda: _candidates("[]"), ParseError,
      "candidates: top level must be an object"),
     (lambda: _candidates('{"kind": "vectors"}'), ParseError,
@@ -215,7 +225,7 @@ def _candidates(text, problem="span_demo.json"):
      "schedules[0]: expected an object with x and y"),
 ], ids=["scalar-null", "vector-not-a-list", "vector-empty", "matrix-not-a-list",
         "matrix-empty", "row-not-a-list", "row-empty", "metadata-value",
-        "metadata-not-an-object", "span-as-schedule", "candidates-top-level",
+        "metadata-not-an-object", "schedule-as-span", "candidates-top-level",
         "candidates-kind", "candidates-vectors", "candidates-pair"])
 def test_document_refusals(read, error, start):
     # each refusal is a TropicalError, which the command line exits 2 on

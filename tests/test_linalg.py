@@ -5,26 +5,39 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import Z, mat, vec, random_span_problem
+from conftest import (
+    Z,
+    demo_schedule_instance,
+    demo_span_problem,
+    mat,
+    random_span_problem,
+    vec,
+)
 from tropspan import (
     MAX_PLUS,
     MAX_TIMES,
     MIN_PLUS,
     MIN_TIMES,
     AllZeroMatrix,
+    IntervalSet,
     NotSquare,
+    ScheduleInstance,
     ShapeMismatch,
     SpanProblem,
     SpectralConditionViolated,
     TropMatrix,
     TropVector,
     ZeroColumn,
+    attains_minimum,
     complete_solution,
     delta,
     depends_on,
+    instantiate,
     kleene_star,
+    objective,
     reduce_to_independent,
     residuation_coefficients,
+    solve_schedule,
     solve_upper_bound,
     trace_closure,
 )
@@ -51,6 +64,65 @@ def test_mat_add():
 def test_mat_add_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         mat([[1, 2]]) + mat([[1], [2]])
+
+
+_ROW, _COL3 = mat([[1, 2]]), mat([[1], [2], [3]])
+_V2, _V3 = vec([1, 2]), vec([1, 2, 3])
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: _V2 + _V3, "vector dims 2 vs 3"),
+    (lambda: _V3 @ _ROW, "row vector dim 3 vs 1 rows"),
+    (lambda: _V2 @ _V3, "vector dims 2 vs 3"),
+    (lambda: _V3.le(_V2), "vector dims 3 vs 2"),
+    (lambda: _ROW + _COL3, "shapes (1, 2) vs (3, 1)"),
+    (lambda: _ROW @ _COL3, "inner dims 2 vs 3"),
+    (lambda: _COL3 @ _V2, "matrix cols 1 vs vector dim 2"),
+    (lambda: _COL3.le(_ROW), "shapes (3, 1) vs (1, 2)"),
+    (lambda: delta(_COL3, _V2), "matrix rows 3 vs vector dim 2"),
+    (lambda: residuation_coefficients(_ROW, _V2), "matrix rows 1 vs vector dim 2"),
+    (lambda: solve_upper_bound(_COL3, _V2), "matrix rows 3 vs vector dim 2"),
+    (lambda: depends_on(_COL3, _V2), "matrix rows 3 vs vector dim 2"),
+    (lambda: list(enumerate_selections(_COL3, _V2)), "p has dim 2, matrix has 3 rows"),
+    (lambda: SpanProblem(_COL3, _V2, vec([0])), "p has dim 2, A has 3 rows"),
+    (lambda: SpanProblem(_COL3, _V3, _V2), "q has dim 2, A has 1 columns"),
+    (lambda: objective(demo_span_problem(), _V3), "x has dim 3, expected 2"),
+    (lambda: attains_minimum(demo_span_problem(), _V3), "x has dim 3, expected 2"),
+    (lambda: IntervalSet(_V2, _V3), "interval dims 2 vs 3"),
+    (lambda: ScheduleInstance(_COL3, _COL3, _COL3, _V3), "A must be 3x3, got (3, 1)"),
+    (lambda: ScheduleInstance(mat([[0]]), _ROW, _ROW, vec([0])),
+     "B must be 1x1, got (1, 2)"),
+    (lambda: ScheduleInstance(mat([[0]]), mat([[0]]), _COL3, vec([0])),
+     "C must be 1x1, got (3, 1)"),
+    (lambda: ScheduleInstance(mat([[0]]), mat([[0]]), mat([[0]]), _V2),
+     "f must have 1 components, got 2"),
+    (lambda: instantiate(solve_schedule(demo_schedule_instance()), _V3),
+     "v has dim 3, expected 4"),
+], ids=["vector-add", "vector-matrix", "vector-dot", "vector-le", "matrix-add",
+        "matrix-matrix", "matrix-vector", "matrix-le", "delta", "residuation",
+        "solve_upper_bound", "depends_on", "enumerate_selections", "span-p",
+        "span-q", "objective",
+        "attains_minimum", "interval", "schedule-A", "schedule-B", "schedule-C",
+        "schedule-f", "instantiate"])
+def test_operand_size_refusals_keep_their_texts(refused, message):
+    # every size refusal of two operands, text for text
+    with pytest.raises(ShapeMismatch) as caught:
+        refused()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: residuation_coefficients(mat([[1, 2], [3, 4]]), vec([0, 1], MIN_PLUS)),
+    lambda: solve_upper_bound(mat([[1, 2], [3, 4]]), vec([0, 1], MIN_PLUS)),
+    lambda: depends_on(mat([[1, 2], [3, 4]]), vec([0, 1], MIN_PLUS)),
+    lambda: depends_on(mat([[1, 2], [3, 4]]), vec([Z, Z], MIN_PLUS)),
+    lambda: list(enumerate_selections(mat([[1, 2], [3, 4]]), vec([0, 1], MIN_PLUS))),
+], ids=["residuation_coefficients", "solve_upper_bound", "depends_on",
+        "depends_on_zero_vector", "enumerate_selections"])
+def test_right_hand_side_over_another_semifield_is_refused(refused):
+    # each used to compute in A's semifield: the residuation read (-2, -3)
+    with pytest.raises(ShapeMismatch, match="^mixed semifields: "):
+        refused()
 
 
 def test_mat_mul():

@@ -80,7 +80,7 @@ def test_benchmark_traced_calls_run_on_the_samples(monkeypatch):
             else:
                 delta, _, _ = inprocess.traced_schedule(
                     tuple(doc.entries[k] for k in "ABCf"), trace)
-                assert delta == solve_schedule(doc.to_schedule_instance()).delta
+                assert delta == solve_schedule(doc.problem()).delta
     finally:
         for name in ("inprocess", "corpus", "harness", "oracle"):
             sys.modules.pop(name, None)

@@ -11,6 +11,7 @@ from conftest import (
 )
 from tropspan import (
     MAX_PLUS,
+    MIN_PLUS,
     CoefficientOutOfBound,
     InfeasiblePrecedence,
     NotRegularMatrix,
@@ -61,6 +62,18 @@ def test_build_instance_validation():
     with pytest.raises(ShapeMismatch):
         ScheduleInstance(a, TropMatrix.zeros(MAX_PLUS, 2, 2), zeros3,
                          vec([7, 7, 7]))
+
+
+def test_build_instance_refuses_data_over_another_semifield():
+    # a min-plus f used to be read as max-plus: coeff_bound (3), no failures
+    a, zeros = mat([[0, -1], [-1, 0]]), TropMatrix.zeros(MAX_PLUS, 2, 2)
+    other = TropMatrix.zeros(MIN_PLUS, 2, 2)
+    for data in ((a, zeros, zeros, vec([5, 5], MIN_PLUS)),
+                 (a, other, zeros, vec([5, 5])),
+                 (a, zeros, other, vec([5, 5]))):
+        with pytest.raises(ShapeMismatch,
+                           match="^mixed semifields: max-plus vs min-plus$"):
+            ScheduleInstance(*data)
 
 
 def test_reduced_span_problem():
