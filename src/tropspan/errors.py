@@ -36,7 +36,16 @@ class NotSquare(TropicalError):
 
 
 class SpectralConditionViolated(TropicalError):
-    """Tr(A) > 1: the inequality A x <= x has no regular solution."""
+    """Tr(A) > 1: the inequality A x <= x has no regular solution.
+
+    ``vertex`` is the pivot at which the Kleene star refused and ``weight``
+    the finite weight, above one, of the cycle it closes there.
+    """
+
+    def __init__(self, vertex: int, weight):
+        super().__init__(f"a cycle through vertex {vertex} weighs {weight}, "
+                         "above the identity; A x <= x has no regular solution")
+        self.vertex, self.weight = vertex, weight
 
 
 class NotRegularMatrix(TropicalError):

@@ -229,8 +229,12 @@ class TropMatrix(_Array):
         if not columns:
             raise ShapeMismatch("at least one column required")
         dim = columns[0].dim
-        if any(c.dim != dim for c in columns):
-            raise ShapeMismatch("columns of unequal length")
+        for c in columns:
+            if c.semifield is not semifield:
+                raise ShapeMismatch(
+                    f"mixed semifields: {c.semifield.name} vs {semifield.name}")
+            if c.dim != dim:
+                raise ShapeMismatch("columns of unequal length")
         return cls(semifield, [[c[i] for c in columns] for i in range(dim)])
 
     # -- accessors -----------------------------------------------------------
@@ -344,9 +348,7 @@ def kleene_star(matrix: TropMatrix) -> TropMatrix:
     c = [list(row) for row in matrix.entries]
     for k, row_k in enumerate(c):
         if not sf.le(row_k[k], one):
-            raise SpectralConditionViolated(
-                f"a cycle through vertex {k} weighs {sf.format_scalar(row_k[k])}, "
-                "above the identity; A x <= x has no regular solution")
+            raise SpectralConditionViolated(k, row_k[k])
         for i, row_i in enumerate(c):
             a = row_i[k]
             if i == k or a is ZERO:

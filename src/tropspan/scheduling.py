@@ -30,10 +30,12 @@ star on the data times L, in plain ints; solve_schedule runs D, the complete
 solution, the generators and the deadline bound on that lifted copy and
 divides each result by L, an integral value coming back as an int.  The
 public A, B, C, f, closure and precedence keep the data's own units, and so
-does a refusal's cycle weight: a lifted star that refuses is run again
-unlifted.  reduced_span_problem is not lifted.  The *-times semifields have
-no such scaling, and an L above LIFT_CAP costs more in big ints than it
-saves, so for both L is 1 and every rescale returns its input.
+does a refusal's cycle weight: x -> L x maps every elimination step of the
+star, so the lifted star refuses at the same pivot as the unlifted one, with
+L times its cycle weight, which is divided back.  reduced_span_problem is
+not lifted.  The *-times semifields have no such scaling, and an L above
+LIFT_CAP costs more in big ints than it saves, so for both L is 1 and every
+rescale returns its input.
 """
 
 from __future__ import annotations
@@ -80,21 +82,16 @@ class ScheduleInstance:
         self.f = f
         self.semifield = A.semifield
         scale = _lift_scale(A, B, C, f)
+        back = Fraction(1, scale)
         lifted_A = _rescaled(A, scale)
         closed = _rescaled(B, scale) + (_rescaled(C, scale) @ lifted_A)
         try:
             closure = kleene_star(closed)
         except SpectralConditionViolated as exc:
-            if scale > 1:
-                # the unlifted star refuses at the same pivot, and its
-                # message names the cycle weight in the data's own units
-                try:
-                    kleene_star(B + (C @ A))
-                except SpectralConditionViolated as unlifted:
-                    exc = unlifted
+            # the unlifted star refuses at the same pivot, weight / L
+            exc = SpectralConditionViolated(exc.vertex, _norm(exc.weight * back))
             raise InfeasiblePrecedence("cyclic precedence with positive "
                                        f"total lag: {exc}") from None
-        back = Fraction(1, scale)
         self.precedence = _rescaled(closed, back)
         self.closure = _rescaled(closure, back)
         self._lifted = (scale, lifted_A, closure, _rescaled(f, scale))

@@ -26,7 +26,8 @@ scalars valid, and mul and inv return integral values as int, so results
 computed from valid scalars need no second check.  Each instance also binds
 three compare-only kernels on finite values: ratio (v (x) u^-1), order_le
 (the semifield order) and order_min (the least of several values in that
-order); a ratio is compared or multiplied, never stored as a scalar.
+order); a ratio is compared or multiplied, never stored as a scalar, save
+as inv, which normalizes ratio(one, a).
 """
 
 from __future__ import annotations
@@ -136,9 +137,7 @@ class Semifield:
     def inv(self, a: Scalar) -> Scalar:
         if a is ZERO:
             raise InversionOfZero("the semifield zero has no multiplicative inverse")
-        if self._multiplicative:
-            return _norm(Fraction(1, 1) / a)
-        return -a
+        return _norm(self.ratio(self.one, a))
 
     # -- text ----------------------------------------------------------------
 

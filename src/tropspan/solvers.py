@@ -66,7 +66,9 @@ def solve_upper_bound(matrix: TropMatrix, d: TropVector) -> TropVector:
 
 def generator_columns(sf: Semifield, g, h_inv) -> list[tuple]:
     """The columns of I (+) g h^- as tuples: column j is g h_j^-1 with one
-    added at row j.  g and h^- hold valid scalars, so the results need no check.
+    added at row j.  h^- holds valid scalars and g valid scalars or ratios;
+    every entry is one or a product, which mul normalizes, so the results
+    need no check.
     """
     add, mul, one = sf.add, sf.mul, sf.one
     out = []

@@ -8,8 +8,10 @@ The pipeline, for a row-regular A, nonzero p and regular q:
   3. Fixing one nonzero entry per row of the sparsified matrix gives a
      selection A1; each selection contributes the solution cone
      alpha*Delta^-1 A1^- p <= x <= alpha*q, i.e. the span of
-     S1 = I (+) Delta^-1 A1^- p q^-.  Entry j of A1^- p sums the terms
-     t_ij = p_i a_ij^-1 of the rows i that chose column j.
+     S1 = I (+) Delta^-1 A1^- p q^-.  Entry j of t = A1^- p sums the terms
+     t_ij = p_i a_ij^-1 of the rows i that chose column j, and
+     S1 = I (+) t (Delta q)^-, so one scale (Delta q_j)^-1 per column
+     serves every selection.
   4. The union over all selections is the full solution set; a backtracking
      enumeration with a dominance rule skips selections whose cones are
      contained in ones already produced.  Choosing column j in row i forces
@@ -30,7 +32,7 @@ The pipeline, for a row-regular A, nonzero p and regular q:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import (
     EnumerationBudgetExceeded,
@@ -59,8 +61,6 @@ class SpanProblem:
     def check_data(A: TropMatrix, p: TropVector, q: TropVector) -> None:
         """Refuse data that is not a span problem: A row-regular, p nonzero,
         q regular, shapes and semifield agreeing."""
-        if A.semifield is not p.semifield or A.semifield is not q.semifield:
-            raise ShapeMismatch("A, p, q must share one semifield")
         _check_operands(p, A, p.dim, A.rows, "p has dim {}, A has {} rows")
         _check_operands(q, A, q.dim, A.cols, "q has dim {}, A has {} columns")
         if not A.is_row_regular():
@@ -220,72 +220,64 @@ def _selections(sparse: TropMatrix, p: TropVector, prune: bool,
                     forced[k] = j
                     released.append(k)
 
-    def walk():
-        choice, terms = [0] * m, [ZERO] * n
-        # (row, its remaining candidates, rows forced since its choice, terms
-        # before its choice) of each row that branches; the root's forced
-        # rows are never released
-        frames: list[tuple[int, Iterator[int], list[int], list]] = []
-        released: list[int] = []
-        emitted = i = 0
-        while True:
-            while i < m:
-                j = forced[i]
-                if j is None:
-                    cols = [c for c, a in enumerate(rows[i]) if a is not ZERO]
-                    j = cols[0]
-                    if pe[i] is not ZERO:
-                        if len(cols) > 1:
-                            released = []
-                            frames.append((i, iter(cols[1:]), released, terms[:]))
-                        pick(i, j, terms, released)
-                choice[i] = j
-                i += 1
-            emitted += 1
-            check_budget(emitted, budget)
-            yield SelectionMatrix(tuple(choice), tuple(terms))
-            while frames:
-                i, rest, released, saved = frames[-1]
-                while released:
-                    forced[released.pop()] = None
-                j = next(rest, None)
-                if j is not None:
-                    break
-                frames.pop()
-            else:
-                return
-            choice[i], terms = j, saved[:]
-            pick(i, j, terms, released)
+    choice, terms = [0] * m, [ZERO] * n
+    # (row, its remaining candidates, rows forced since its choice, terms
+    # before its choice) of each row that branches; the root's forced rows
+    # are never released
+    frames: list[tuple[int, Iterator[int], list[int], list]] = []
+    released: list[int] = []
+    emitted = i = 0
+    while True:
+        while i < m:
+            j = forced[i]
+            if j is None:
+                cols = [c for c, a in enumerate(rows[i]) if a is not ZERO]
+                j = cols[0]
+                if pe[i] is not ZERO:
+                    if len(cols) > 1:
+                        released = []
+                        frames.append((i, iter(cols[1:]), released, terms[:]))
+                    pick(i, j, terms, released)
+            choice[i] = j
             i += 1
+        emitted += 1
+        check_budget(emitted, budget)
+        yield SelectionMatrix(tuple(choice), tuple(terms))
+        while frames:
+            i, rest, released, saved = frames[-1]
+            while released:
+                forced[released.pop()] = None
+            j = next(rest, None)
+            if j is not None:
+                break
+            frames.pop()
+        else:
+            return
+        choice[i], terms = j, saved[:]
+        pick(i, j, terms, released)
+        i += 1
 
-    return walk()
 
+def _s1_scales(prob: SpanProblem) -> list:
+    """The scales (Delta q_j)^-1 by which a selection's terms t give S1.
 
-def _s1_columns(prob: SpanProblem) -> Callable[[Sequence], list[tuple]]:
-    """The columns of S1 = I (+) l q^- for a selection's terms, as tuples.
-
-    l = Delta^-1 A1^- p, and entry j of A1^- p is entry j of the terms that
-    the walk sums (the product with Delta^-1 makes each a valid scalar), so
-    A1 itself is never built.  Column j is l q_j^-1 with one added at row j.
-    Delta^-1 and q^- are computed once.  l <= q holds unchecked, as the
+    S1 = I (+) Delta^-1 A1^- p q^- is I (+) t (Delta q)^-, as entry j of
+    A1^- p is entry j of the terms that the walk sums, so A1 itself is never
+    built: generator_columns(sf, terms, scales) gives column j as t (Delta
+    q_j)^-1 with one added at row j, and each product normalizes a ratio in
+    the terms to a valid scalar.  Delta^-1 t <= q holds unchecked, as the
     sparsified matrix keeps a_ij only if p_i a_ij^-1 <= Delta q_j.
     """
     sf = prob.semifield
-    mul = sf.mul
-    inv_delta, inv_q = sf.inv(prob.delta), [sf.inv(v) for v in prob.q]
-
-    def columns(terms: Sequence) -> list[tuple]:
-        return generator_columns(sf, [mul(inv_delta, t) for t in terms], inv_q)
-
-    return columns
+    return [sf.inv(sf.mul(prob.delta, v)) for v in prob.q]
 
 
 def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSet:
     """Span I (+) Delta^-1 A1^- p q^- of one selection, built from its terms
     by the column builder that complete_solution pools from."""
     _check_shape(sel, prob.A.shape)
-    return GeneratorSet(_trusted(TropMatrix, prob.semifield,
-                                 zip(*_s1_columns(prob)(sel.terms))))
+    cols = generator_columns(prob.semifield, sel.terms, _s1_scales(prob))
+    return GeneratorSet(_trusted(TropMatrix, prob.semifield, zip(*cols)))
 
 
 class CompleteSolution(NamedTuple):
@@ -332,7 +324,7 @@ def complete_solution(prob: SpanProblem, *,
     total = selection_count(sparse, prob.p)
     if not prune:
         check_budget(total, budget)
-    columns, le = _s1_columns(prob), sf.le
+    scales, le = _s1_scales(prob), sf.le
     rays, bounds, seen = {}, [], set()
     count = 0
     for count, (_, terms) in enumerate(_selections(
@@ -344,7 +336,7 @@ def complete_solution(prob: SpanProblem, *,
             continue
         bounds = [u for u in bounds if not all(map(le, terms, u))]
         bounds.append(terms)
-        for col in columns(terms):
+        for col in generator_columns(sf, terms, scales):
             rays.setdefault(ray_key(sf, col), col)
     del seen, bounds
     pool = list(rays.values())

@@ -125,6 +125,21 @@ def test_right_hand_side_over_another_semifield_is_refused(refused):
         refused()
 
 
+def test_from_columns_refuses_columns_over_another_semifield():
+    # a min-plus column used to come back as a max-plus matrix entry
+    for columns, message in (
+            ([vec([5, 1], MIN_PLUS)], "mixed semifields: min-plus vs max-plus"),
+            ([vec([5, 1]), vec([0, 2], MIN_PLUS)],
+             "mixed semifields: min-plus vs max-plus"),
+            ([vec([5, 1]), vec([0, 2, 3])], "columns of unequal length"),
+            ([], "at least one column required")):
+        with pytest.raises(ShapeMismatch) as caught:
+            TropMatrix.from_columns(MAX_PLUS, columns)
+        assert str(caught.value) == message
+    assert TropMatrix.from_columns(MIN_PLUS, [vec([5, 1], MIN_PLUS)]) == \
+        mat([[5], [1]], MIN_PLUS)
+
+
 def test_mat_mul():
     a = mat([[2, 0], [4, 1]])
     assert a @ vec([1, 2]) == vec([3, 5])
@@ -288,6 +303,13 @@ def test_kleene_star_matches_long_power_sum():
         assert (m @ star).le(star)
 
 
+class _TraceAboveOne(Exception):
+    # the reference star's refusal, carrying Tr(A)
+    def __init__(self, tr):
+        super().__init__(f"Tr = {tr} exceeds the identity")
+        self.tr = tr
+
+
 def _power_series_star(matrix):
     # the star as the power series I (+) A (+) ... (+) A^(n-1), on plain
     # lists, refused when Tr(A), the trace of A A*, lies above one; the
@@ -319,9 +341,7 @@ def _power_series_star(matrix):
     for i in range(n):
         tr = sf.add(tr, closed[i][i])
     if not sf.le(tr, sf.one):
-        raise SpectralConditionViolated(
-            f"Tr = {sf.format_scalar(tr)} exceeds the identity; "
-            "A x <= x has no regular solution")
+        raise _TraceAboveOne(tr)
     return TropMatrix(sf, star)
 
 
@@ -346,7 +366,7 @@ def test_kleene_star_matches_power_series():
                                  for _ in range(n)] for _ in range(n)])
             try:
                 expected = _power_series_star(m)
-            except SpectralConditionViolated as exc:
+            except _TraceAboveOne as exc:
                 # the refusal names a pivot k and its simple-cycle weight
                 # c_kk, so one < c_kk <= Tr
                 refused += 1
@@ -358,8 +378,7 @@ def test_kleene_star_matches_power_series():
                     str(info.value))
                 assert int(found[1]) < n
                 weight = Fraction(found[2])
-                tr = Fraction(re.match(r"Tr = (\S+) ", str(exc))[1])
-                assert not sf.le(weight, sf.one) and sf.le(weight, tr)
+                assert not sf.le(weight, sf.one) and sf.le(weight, exc.tr)
                 continue
             feasible += 1
             star = kleene_star(m)
@@ -377,6 +396,27 @@ def test_kleene_star_refuses_before_eliminating():
                        match=r"^a cycle through vertex 0 weighs 2, "):
         kleene_star(m)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("sf, rows, vertex, weight", [
+    (MAX_PLUS, [[1]], 0, 1),
+    (MIN_PLUS, [[-1]], 0, -1),
+    (MAX_TIMES, [[2]], 0, 2),
+    (MIN_TIMES, [[Fraction(1, 2)]], 0, Fraction(1, 2)),
+    (MAX_PLUS, [[Z, Fraction(1, 4)], [Fraction(1, 4), Z]], 1, Fraction(1, 2)),
+    (MIN_PLUS, [[Z, Fraction(-1, 3)], [-1, Z]], 1, Fraction(-4, 3)),
+    (MAX_TIMES, [[Z, Fraction(3, 2)], [Fraction(3, 2), Z]], 1, Fraction(9, 4)),
+    (MIN_TIMES, [[Z, Fraction(2, 3)], [Fraction(1, 2), Z]], 1, Fraction(1, 3)),
+])
+def test_kleene_star_refusal_carries_vertex_and_weight(sf, rows, vertex, weight):
+    with pytest.raises(SpectralConditionViolated) as caught:
+        kleene_star(mat(rows, sf))
+    exc = caught.value
+    assert (exc.vertex, type(exc.weight), exc.weight) == (
+        vertex, type(weight), weight)
+    assert str(exc) == (f"a cycle through vertex {vertex} weighs "
+                        f"{sf.format_scalar(weight)}, above the identity; "
+                        "A x <= x has no regular solution")
 
 
 def test_kleene_star_refusal_computes_no_trace():

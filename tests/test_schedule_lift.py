@@ -24,6 +24,7 @@ from tropspan import (
     MIN_PLUS,
     EnumerationBudgetExceeded,
     InfeasiblePrecedence,
+    SpectralConditionViolated,
     ScheduleInstance,
     SpanProblem,
     TropMatrix,
@@ -35,7 +36,7 @@ from tropspan import (
     solve_upper_bound,
 )
 from tropspan.documents import parse_problem
-from tropspan.scheduling import LIFT_CAP
+from tropspan.scheduling import LIFT_CAP, _lift_scale
 
 ROOT = Path(__file__).resolve().parent.parent
 BUDGET = 5000
@@ -214,3 +215,34 @@ def test_min_plus_lifted_refusal_names_the_cycle_weight_in_data_units():
                          mat([[Z, Z], [Z, Z]], MIN_PLUS),
                          vec([5, 5], MIN_PLUS))
     assert "a cycle through vertex 1 weighs -1/2" in str(refused.value)
+
+
+def test_lifted_refusals_read_as_the_unlifted_star_refuses():
+    # the lifted star refuses at the unlifted star's pivot with L times its
+    # weight, and the refusal divides that weight back by L
+    rng = random.Random(31)
+    refused = 0
+    for _ in range(600):
+        sf = rng.choice((MAX_PLUS, MIN_PLUS))
+        sign, d = (1 if sf is MAX_PLUS else -1), rng.choice((2, 3, 4))
+
+        def lags(lo, hi, density):
+            return mat([[Fraction(sign * rng.randint(lo, hi), d)
+                         if rng.random() < density else Z for _ in range(n)]
+                        for _ in range(n)], sf)
+
+        n = rng.randint(2, 5)
+        A, B, C = lags(-4, 4, 1.0), lags(-9, 2, 0.5), lags(-9, 1, 0.15)
+        f = vec([Fraction(rng.randint(0, 20), d) for _ in range(n)], sf)
+        try:
+            kleene_star(B + C @ A)
+        except SpectralConditionViolated as exc:
+            expected = f"cyclic precedence with positive total lag: {exc}"
+        else:
+            continue
+        assert _lift_scale(A, B, C, f) > 1
+        with pytest.raises(InfeasiblePrecedence) as caught:
+            ScheduleInstance(A, B, C, f)
+        assert str(caught.value) == expected
+        refused += 1
+    assert refused >= 100, refused

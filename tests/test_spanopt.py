@@ -43,7 +43,7 @@ from tropspan import spanopt
 from tropspan.linalg import extremal_rays, ray_key, reduce_to_independent
 from tropspan.solvers import generator_columns
 from tropspan.spanopt import (
-    _s1_columns,
+    _s1_scales,
     _selections,
     canonical_column_order,
     selection_count,
@@ -70,6 +70,17 @@ def test_minimum_value():
     eye = TropMatrix.identity(MAX_PLUS, 3)
     trivial = SpanProblem(eye, vec([0, 0, 0]), vec([0, 0, 0]))
     assert trivial.delta == MAX_PLUS.one
+
+
+def test_span_problem_refuses_mixed_semifields_by_the_operand_rule():
+    # p, then q, against A, as every operation on two operands refuses
+    A = mat([[0, 1], [2, 3]])
+    for p, q, message in (
+            (TropVector(MIN_PLUS, [0, 1]), vec([0, 0]), "min-plus vs max-plus"),
+            (vec([0, 1]), TropVector(MAX_TIMES, [1, 2]), "max-times vs max-plus")):
+        with pytest.raises(ShapeMismatch) as caught:
+            SpanProblem(A, p, q)
+        assert str(caught.value) == f"mixed semifields: {message}"
 
 
 def test_sparsify_golden():
@@ -346,11 +357,12 @@ def test_s1_columns_are_type_exact():
     for sf in (MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES):
         for _ in range(60):
             prob = _half_unit_problem(rng, sf)
-            columns = _s1_columns(prob)
+            scales = _s1_scales(prob)
             for sel in islice(enumerate_selections(prob.sparsified, prob.p,
                                                    prune=False), 20):
                 reference = _reference_s1(sel, prob)
-                pooled = columns(_fold_terms(prob, sel.chosen_col))
+                pooled = generator_columns(
+                    sf, _fold_terms(prob, sel.chosen_col), scales)
                 assert [_typed(c) for c in pooled] == [
                     _typed(c) for c in reference.generators.columns()]
                 viewed = selection_generators(sel, prob)
@@ -378,9 +390,10 @@ def _counted_solution(monkeypatch, prob, **kwargs):
     # complete_solution, and the lower bound l of each S1 it builds
     built = []
 
-    def counting(sf, lower, inv_q):
-        built.append(tuple(lower))
-        return generator_columns(sf, lower, inv_q)
+    def counting(sf, terms, scales):
+        inv_delta = sf.inv(prob.delta)
+        built.append(tuple(sf.mul(inv_delta, t) for t in terms))
+        return generator_columns(sf, terms, scales)
 
     monkeypatch.setattr(spanopt, "generator_columns", counting)
     sol = complete_solution(prob, **kwargs)
