@@ -145,6 +145,7 @@ def _scalars(values: list, where: str) -> list:
 
 
 def scalar_to_json(value: Scalar):
+    """The JSON form of a scalar: json.dumps calls it for ZERO and Fractions."""
     if value is ZERO:
         return _ZERO_TOKEN
     if isinstance(value, int):
@@ -173,14 +174,6 @@ def _matrix_from_json(value, where: str) -> TropMatrix:
                              f"(row {i} has {len(row)} entries, expected {width})")
         rows.append(_scalars(row, f"{where}[{i}]"))
     return _trusted(TropMatrix, MAX_PLUS, rows)
-
-
-def _vector_to_json(v: TropVector):
-    return [scalar_to_json(e) for e in v.entries]
-
-
-def _matrix_to_json(m: TropMatrix):
-    return [[scalar_to_json(e) for e in row] for row in m.entries]
 
 
 # -- one reader and one writer for every kind ---------------------------------
@@ -242,9 +235,9 @@ def _write_entries(payload: dict, entries: dict) -> str:
         node = payload
         for key in parents:
             node = node.setdefault(key, {})
-        node[name] = (_matrix_to_json(value) if isinstance(value, TropMatrix)
-                      else _vector_to_json(value))
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        node[name] = value.entries
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=scalar_to_json) + "\n"
 
 
 # -- problem documents --------------------------------------------------------
@@ -312,7 +305,7 @@ def serialize_solution(doc: SolutionDocument) -> str:
         "kind": doc.kind,
         "semifield": MAX_PLUS.name,
         "input_sha256": doc.input_sha256,
-        "delta": scalar_to_json(doc.delta),
+        "delta": doc.delta,
         "enumeration": {"visited": doc.enumeration_visited,
                         "pruned": doc.enumeration_pruned},
         "compact": doc.compact,
@@ -361,16 +354,14 @@ def parse_candidates(text: str, doc: ProblemDocument) -> tuple[str, object]:
     if kind != "candidates":
         raise ParseError("candidates file must have kind 'candidates' or be "
                          "a solution document")
+    field = "vectors" if doc.kind == KIND_SPAN else "schedules"
+    raw = data.get(field)
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(f"candidates: expected a non-empty {field!r} array")
     if doc.kind == KIND_SPAN:
-        raw = data.get("vectors")
-        if not isinstance(raw, list) or not raw:
-            raise ParseError("candidates: expected a non-empty 'vectors' array")
         vectors = [_vector_from_json(v, f"vectors[{i}]")
                    for i, v in enumerate(raw)]
         return ("vectors", vectors)
-    raw = data.get("schedules")
-    if not isinstance(raw, list) or not raw:
-        raise ParseError("candidates: expected a non-empty 'schedules' array")
     pairs = []
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or "x" not in item or "y" not in item:

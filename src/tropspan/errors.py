@@ -6,9 +6,16 @@ maps subfamilies to distinct exit codes (see cli.py).
 
 from __future__ import annotations
 
+import copyreg
+
 
 class TropicalError(Exception):
     """Base class for all tropspan errors."""
+
+    def __reduce__(self):
+        # rebuilt by __new__ and the instance dict, not by an __init__ that
+        # takes other arguments than args, so pickle and copy keep subclasses
+        return (copyreg.__newobj__, (type(self), *self.args), self.__dict__)
 
 
 class ShapeMismatch(TropicalError):

@@ -31,7 +31,9 @@ Operands are checked by one rule, _check_operands, which every operation
 on two of them runs, here and in the modules built on this one: operands
 over two semifields are refused as "mixed semifields", and then sizes that
 do not fit, with the operation's own message.  So no operand is ever read in
-another semifield's arithmetic.
+another semifield's arithmetic.  A sum or an order of a vector and a matrix
+or a number is a TypeError, as Python raises for any other unsupported
+operands.
 
 Scalars are validated once, where they enter: the public TropVector(...) and
 TropMatrix(...) constructors run Semifield.check_value on every entry, and
@@ -65,6 +67,13 @@ def _check_operands(a, b, size_a, size_b, message: str) -> None:
             f"mixed semifields: {a.semifield.name} vs {b.semifield.name}")
     if size_a != size_b:
         raise ShapeMismatch(message.format(size_a, size_b))
+
+
+def _check_same_type(a, b) -> None:
+    """Refuse to order a vector against a matrix or a scalar."""
+    if type(b) is not type(a):
+        raise TypeError(f"cannot order {type(a).__name__} "
+                        f"against {type(b).__name__}")
 
 
 def _trusted(cls, semifield: Semifield, entries):
@@ -155,6 +164,8 @@ class TropVector(_Array):
         return tuple(i for i, e in enumerate(self.entries) if e is not ZERO)
 
     def __add__(self, other: "TropVector") -> "TropVector":
+        if type(other) is not type(self):
+            return NotImplemented
         _check_operands(self, other, self.dim, other.dim, "vector dims {} vs {}")
         add = self.semifield.add
         return _trusted(TropVector, self.semifield,
@@ -188,6 +199,7 @@ class TropVector(_Array):
 
     def le(self, other: "TropVector") -> bool:
         """Entry-wise semifield order."""
+        _check_same_type(self, other)
         _check_operands(self, other, self.dim, other.dim, "vector dims {} vs {}")
         le = self.semifield.le
         return all(le(a, b) for a, b in zip(self.entries, other.entries))
@@ -279,6 +291,8 @@ class TropMatrix(_Array):
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "TropMatrix") -> "TropMatrix":
+        if type(other) is not type(self):
+            return NotImplemented
         _check_operands(self, other, self.shape, other.shape, "shapes {} vs {}")
         add = self.semifield.add
         return _trusted(TropMatrix, self.semifield,
@@ -308,6 +322,7 @@ class TropMatrix(_Array):
                          for col in zip(*self.entries)])
 
     def le(self, other: "TropMatrix") -> bool:
+        _check_same_type(self, other)
         _check_operands(self, other, self.shape, other.shape, "shapes {} vs {}")
         le = self.semifield.le
         return all(le(a, b) for ra, rb in zip(self.entries, other.entries)
@@ -318,14 +333,13 @@ def trace_closure(matrix: TropMatrix) -> Scalar:
     """Tr(A): tropical sum of the traces of A^1 .. A^n."""
     if not matrix.is_square():
         raise NotSquare(f"Tr of a {matrix.rows}x{matrix.cols} matrix")
-    sf = matrix.semifield
-    acc = ZERO
-    power = matrix
-    for k in range(matrix.rows):
-        for i in range(matrix.rows):
-            acc = sf.add(acc, power.entries[i][i])
-        if k + 1 < matrix.rows:
-            power = power @ matrix
+    sf, rows, n = matrix.semifield, matrix.entries, matrix.rows
+    acc, power = ZERO, rows
+    for k in range(n):
+        for i, row in enumerate(power):
+            acc = sf.add(acc, row[i])
+        if k + 1 < n:
+            power = _product(sf, power, rows, n)
     return acc
 
 

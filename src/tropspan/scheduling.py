@@ -263,28 +263,25 @@ def compact_generators(sol: ScheduleSolution) -> ScheduleSolution:
     collinear in the same pattern because y columns are A times x columns.
     """
     sf = sol.x_generators.semifield
-    x_cols = sol.x_generators.columns()
-    y_cols = sol.y_generators.columns()
+    bound = sol.coeff_bound.entries
+    cols = list(zip(*sol.x_generators.entries))
     reps: list[int] = []
-    merged_bound: list[Scalar] = []
+    merged: list[Scalar] = []
     slots: dict[tuple, int] = {}
-    for j, col in enumerate(x_cols):
-        key = ray_key(sf, col.entries)
-        slot = slots.get(key)
-        if slot is None:
-            slots[key] = len(reps)
+    for j, col in enumerate(cols):
+        slot = slots.setdefault(ray_key(sf, col), len(reps))
+        if slot == len(reps):
             reps.append(j)
-            merged_bound.append(sol.coeff_bound[j])
+            merged.append(bound[j])
             continue
-        r = reps[slot]
-        sup = col.support()[0]
-        kappa = sf.mul(col[sup], sf.inv(x_cols[r][sup]))
-        merged_bound[slot] = sf.add(merged_bound[slot],
-                                    sf.mul(kappa, sol.coeff_bound[j]))
-    if len(reps) == len(x_cols):
+        # kappa at the first finite index, the one ray_key divides by
+        i = next(i for i, e in enumerate(col) if e is not ZERO)
+        kappa = sf.ratio(col[i], cols[reps[slot]][i])
+        merged[slot] = sf.add(merged[slot], sf.mul(kappa, bound[j]))
+    if len(reps) == len(cols):
         return sol
-    return sol._replace(
-        x_generators=TropMatrix.from_columns(sf, [x_cols[r] for r in reps]),
-        y_generators=TropMatrix.from_columns(sf, [y_cols[r] for r in reps]),
-        coeff_bound=TropVector(sf, merged_bound),
-    )
+    x_gens, y_gens = (
+        _trusted(TropMatrix, sf, [[row[r] for r in reps] for row in gens.entries])
+        for gens in (sol.x_generators, sol.y_generators))
+    return sol._replace(x_generators=x_gens, y_generators=y_gens,
+                        coeff_bound=_trusted(TropVector, sf, merged))

@@ -111,6 +111,21 @@ def test_operand_size_refusals_keep_their_texts(refused, message):
     assert str(caught.value) == message
 
 
+def test_sum_and_order_of_a_vector_and_another_type_raise_type_error():
+    # each used to read .dim or .shape of the other operand: AttributeError
+    square = mat([[0, 1], [2, 3]])
+    for refused, message in (
+            (lambda: _V2 + square, "unsupported operand type"),
+            (lambda: square + _V2, "unsupported operand type"),
+            (lambda: _V2 + 1, "unsupported operand type"),
+            (lambda: square + 1, "unsupported operand type"),
+            (lambda: _V2.le(square), "TropVector against TropMatrix"),
+            (lambda: square.le(_V2), "TropMatrix against TropVector"),
+            (lambda: _V2.le(1), "TropVector against int")):
+        with pytest.raises(TypeError, match=message):
+            refused()
+
+
 @pytest.mark.parametrize("refused", [
     lambda: residuation_coefficients(mat([[1, 2], [3, 4]]), vec([0, 1], MIN_PLUS)),
     lambda: solve_upper_bound(mat([[1, 2], [3, 4]]), vec([0, 1], MIN_PLUS)),

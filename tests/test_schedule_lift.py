@@ -29,6 +29,7 @@ from tropspan import (
     SpanProblem,
     TropMatrix,
     TropVector,
+    compact_generators,
     complete_solution,
     kleene_star,
     latest_schedule,
@@ -36,6 +37,7 @@ from tropspan import (
     solve_upper_bound,
 )
 from tropspan.documents import parse_problem
+from tropspan.linalg import ray_key
 from tropspan.scheduling import LIFT_CAP, _lift_scale
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -157,6 +159,80 @@ def test_random_fraction_schedules_match_the_unlifted_pipeline():
         assert_same_as_unlifted(inst)
     # integral draws, denominators 2, 3, 4 and 10, and lcms up to 60
     assert {1, 2, 3, 4, 10, 12, 60}.issubset(lifts)
+
+
+def reference_compact(sol):
+    """compact_generators as it merged through TropVector columns, before it
+    worked on row tables: every field must keep its value and its type."""
+    sf = sol.x_generators.semifield
+    x_cols = sol.x_generators.columns()
+    y_cols = sol.y_generators.columns()
+    reps, merged_bound, slots = [], [], {}
+    for j, col in enumerate(x_cols):
+        key = ray_key(sf, col.entries)
+        slot = slots.get(key)
+        if slot is None:
+            slots[key] = len(reps)
+            reps.append(j)
+            merged_bound.append(sol.coeff_bound[j])
+            continue
+        r = reps[slot]
+        sup = col.support()[0]
+        kappa = sf.mul(col[sup], sf.inv(x_cols[r][sup]))
+        merged_bound[slot] = sf.add(merged_bound[slot],
+                                    sf.mul(kappa, sol.coeff_bound[j]))
+    if len(reps) == len(x_cols):
+        return sol
+    return sol._replace(
+        x_generators=TropMatrix.from_columns(sf, [x_cols[r] for r in reps]),
+        y_generators=TropMatrix.from_columns(sf, [y_cols[r] for r in reps]),
+        coeff_bound=TropVector(sf, merged_bound),
+    )
+
+
+def count_same_compaction(instances) -> int:
+    """How many of the solutions compact_generators merges, after checking
+    each against reference_compact, type for type."""
+    merged = 0
+    for inst in instances:
+        sol = solve_schedule(inst)
+        compact = compact_generators(sol)
+        assert typed(compact) == typed(reference_compact(sol))
+        merged += compact is not sol
+    return merged
+
+
+def random_max_times_schedule(rng: random.Random, n: int) -> ScheduleInstance:
+    """Positive int and Fraction data.  A is at most 12, B at most 1 and C at
+    most 1/12, so every entry of B (+) C A, and every cycle, weighs at most
+    1: the precedence is always feasible."""
+    def lag(density, value):
+        return value() if rng.random() < density else Z
+
+    def duration():
+        return Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))
+
+    A = [[lag(0.7, duration) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        A[i][i] = duration()
+    B = [[lag(0.3, lambda: Fraction(rng.randint(1, 4), 4)) for _ in range(n)]
+         for _ in range(n)]
+    C = [[lag(0.3, lambda: Fraction(1, rng.randint(12, 36))) for _ in range(n)]
+         for _ in range(n)]
+    f = [duration() * 4 for _ in range(n)]
+    return ScheduleInstance(mat(A, MAX_TIMES), mat(B, MAX_TIMES),
+                            mat(C, MAX_TIMES), vec(f, MAX_TIMES))
+
+
+def test_compact_generators_keeps_values_and_types(half_unit_corpus):
+    rng = random.Random(5)
+    min_plus = [random_fraction_schedule(rng, MIN_PLUS, rng.randint(1, 5), True)
+                for _ in range(40)]
+    max_times = [random_max_times_schedule(rng, rng.randint(1, 5))
+                 for _ in range(40)]
+    assert count_same_compaction(half_unit_corpus) == 18
+    assert count_same_compaction(min_plus) > 0
+    assert count_same_compaction(max_times) > 0
 
 
 def test_times_semifield_is_not_lifted():
