@@ -45,6 +45,7 @@ only: the semifield operations keep valid scalars valid.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -56,7 +57,7 @@ from .errors import (
     ZeroColumn,
     ZeroVector,
 )
-from .semifield import ZERO, Scalar, Semifield
+from .semifield import ZERO, Scalar, Semifield, _norm
 
 
 def _check_operands(a, b, size_a, size_b, message: str) -> None:
@@ -88,8 +89,16 @@ def _product(sf: Semifield, rows, other_rows, width: int) -> list[list]:
     """Rows of the product A B of two row tables: row i sums a_ik (x) row k
     of B over k.  width is B's column count, passed because B's rows may be
     an iterator.  A zero a_ik skips row k of B and a zero b_kj its term, so
-    sparse operands cost only their nonzero pairs."""
-    add, mul = sf.add, sf.mul
+    sparse operands cost only their nonzero pairs.
+
+    Each pair costs one times and at most one better, the semifield's
+    finite kernels, with no method call: a term replaces the running sum
+    only when it is strictly better, so a tie keeps the earlier term, as add
+    does.  Terms are stored as times returns them, and each output entry is
+    normalized once, an integral Fraction becoming an int.  One loop serves
+    all four semifields and both number types.
+    """
+    times, better = sf.times, sf.better
     out = []
     for row_i in rows:
         out_row = [ZERO] * width
@@ -98,8 +107,11 @@ def _product(sf: Semifield, rows, other_rows, width: int) -> list[list]:
                 continue
             for j, b in enumerate(row_k):
                 if b is not ZERO:
-                    out_row[j] = add(out_row[j], mul(a, b))
-        out.append(out_row)
+                    c = times(a, b)
+                    cur = out_row[j]
+                    if cur is ZERO or better(c, cur):
+                        out_row[j] = c
+        out.append([_norm(e) if type(e) is Fraction else e for e in out_row])
     return out
 
 
@@ -354,11 +366,13 @@ def kleene_star(matrix: TropMatrix) -> TropMatrix:
     before it is eliminated and a refusal names it; that also keeps every
     entry a simple-path weight.  With no such cycle the heaviest walk is the
     heaviest path of at most n - 1 edges, which is exactly the power series.
+    Each pair takes _product's step, and each stored value is normalized
+    once, as later pivots read it.
     """
     if not matrix.is_square():
         raise NotSquare(f"star of a {matrix.rows}x{matrix.cols} matrix")
     sf = matrix.semifield
-    add, mul, one = sf.add, sf.mul, sf.one
+    times, better, one = sf.times, sf.better, sf.one
     c = [list(row) for row in matrix.entries]
     for k, row_k in enumerate(c):
         if not sf.le(row_k[k], one):
@@ -369,9 +383,12 @@ def kleene_star(matrix: TropMatrix) -> TropMatrix:
                 continue
             for j, b in enumerate(row_k):
                 if b is not ZERO:
-                    row_i[j] = add(row_i[j], mul(a, b))
+                    v = times(a, b)
+                    cur = row_i[j]
+                    if cur is ZERO or better(v, cur):
+                        row_i[j] = _norm(v) if type(v) is Fraction else v
     for i, row in enumerate(c):
-        row[i] = add(one, row[i])
+        row[i] = sf.add(one, row[i])
     return _trusted(TropMatrix, sf, c)
 
 

@@ -28,19 +28,25 @@ every comparison, ray and column order.  ScheduleInstance therefore takes L,
 the lcm of the denominators of A, B, C and f, and builds B (+) C A and its
 star on the data times L, in plain ints; solve_schedule runs D, the complete
 solution, the generators and the deadline bound on that lifted copy and
-divides each result by L, an integral value coming back as an int.  The
+divides each result by L, an integral value coming back as an int.
+instantiate, and so latest_schedule, takes the same path: L over the
+generators and v, the product in ints, and the division back.  The lift
+multiplies each numerator by L over its denominator, so it builds and
+hashes no Fraction; the division is taken once per distinct value.  The
 public A, B, C, f, closure and precedence keep the data's own units, and so
 does a refusal's cycle weight: x -> L x maps every elimination step of the
 star, so the lifted star refuses at the same pivot as the unlifted one, with
-L times its cycle weight, which is divided back.  reduced_span_problem is
-not lifted.  The *-times semifields have no such scaling, and an L above
-LIFT_CAP costs more in big ints than it saves, so for both L is 1 and every
-rescale returns its input.
+L times its cycle weight, which is divided back.  closure and precedence are
+divided back when first read, as solve_schedule needs neither.
+reduced_span_problem is not lifted.  The *-times semifields have no such
+scaling, and an L above LIFT_CAP costs more in big ints than it saves, so
+for both L is 1 and every rescale returns its input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import eq
 from typing import NamedTuple
@@ -67,9 +73,10 @@ LIFT_CAP = 2 ** 62
 class ScheduleInstance:
     """Validated scheduling data (A, B, C, f) for n activities.
 
-    precedence is B (+) C A and closure its star.  _lifted is the (L, A,
-    closure, f) that solve_schedule runs on: the lifted copy, or with L = 1
-    the public objects themselves.
+    precedence is B (+) C A and closure its star, divided back from the
+    lifted copy when first read.  _lifted is the (L, A, closure, f) that
+    solve_schedule runs on: the lifted copy, or with L = 1 the public objects
+    themselves.
     """
 
     def __init__(self, A: TropMatrix, B: TropMatrix, C: TropMatrix,
@@ -82,19 +89,25 @@ class ScheduleInstance:
         self.f = f
         self.semifield = A.semifield
         scale = _lift_scale(A, B, C, f)
-        back = Fraction(1, scale)
-        lifted_A = _rescaled(A, scale)
-        closed = _rescaled(B, scale) + (_rescaled(C, scale) @ lifted_A)
+        lifted_A = _lift(A, scale)
+        self._closed = _lift(B, scale) + (_lift(C, scale) @ lifted_A)
         try:
-            closure = kleene_star(closed)
+            closure = kleene_star(self._closed)
         except SpectralConditionViolated as exc:
             # the unlifted star refuses at the same pivot, weight / L
-            exc = SpectralConditionViolated(exc.vertex, _norm(exc.weight * back))
+            exc = SpectralConditionViolated(exc.vertex,
+                                            _divided_scalar(exc.weight, scale))
             raise InfeasiblePrecedence("cyclic precedence with positive "
                                        f"total lag: {exc}") from None
-        self.precedence = _rescaled(closed, back)
-        self.closure = _rescaled(closure, back)
-        self._lifted = (scale, lifted_A, closure, _rescaled(f, scale))
+        self._lifted = (scale, lifted_A, closure, _lift(f, scale))
+
+    @cached_property
+    def precedence(self) -> TropMatrix:
+        return _divided(self._closed, self._lifted[0])
+
+    @cached_property
+    def closure(self) -> TropMatrix:
+        return _divided(self._lifted[2], self._lifted[0])
 
     @staticmethod
     def check_data(A: TropMatrix, B: TropMatrix, C: TropMatrix,
@@ -113,34 +126,60 @@ class ScheduleInstance:
             raise NotRegularVector("late finish times f must all be finite")
 
 
-def _lift_scale(A: TropMatrix, B: TropMatrix, C: TropMatrix,
-                f: TropVector) -> int:
-    """The lcm L of the denominators of max-plus or min-plus data, or 1 when
-    it is above LIFT_CAP.  The *-times semifields have no such scaling: 1.
-    The lcm stops at the cap, as one of thousands of digits is slow to take."""
-    if A.semifield not in (MAX_PLUS, MIN_PLUS):
+def _rows(x) -> tuple:
+    """The rows of a TropMatrix, or a TropVector as a single row."""
+    return (x.entries,) if isinstance(x, TropVector) else x.entries
+
+
+def _like(x, rows: list):
+    """A TropMatrix or TropVector like x, over the rows that _rows gives."""
+    return _trusted(type(x), x.semifield,
+                    rows[0] if isinstance(x, TropVector) else rows)
+
+
+def _lift_scale(*arrays) -> int:
+    """The lcm L of the denominators of max-plus or min-plus matrices and
+    vectors, or 1 when it is above LIFT_CAP.  The *-times semifields have no
+    such scaling: 1.  The lcm stops at the cap, as one of thousands of
+    digits is slow to take."""
+    if arrays[0].semifield not in (MAX_PLUS, MIN_PLUS):
         return 1
     scale = 1
-    for e in set().union(*A.entries, *B.entries, *C.entries, f.entries):
-        if type(e) is Fraction:
-            scale = lcm(scale, e.denominator)
-            if scale > LIFT_CAP:
-                return 1
+    for x in arrays:
+        for row in _rows(x):
+            for e in row:
+                if type(e) is Fraction and scale % e.denominator:
+                    scale = lcm(scale, e.denominator)
+                    if scale > LIFT_CAP:
+                        return 1
     return scale
 
 
-def _rescaled(x, factor):
-    """The TropMatrix or TropVector x with each finite entry times factor, an
-    integral value as an int; x itself when factor is 1.  Each distinct value
-    is computed once, as values repeat."""
-    if factor == 1:
+def _lift(x, scale: int):
+    """The TropMatrix or TropVector x with each finite entry times scale, a
+    multiple of its denominator, so every entry is an int and no Fraction is
+    built or hashed; x itself when scale is 1."""
+    if scale == 1:
         return x
-    vector = isinstance(x, TropVector)
-    rows = (x.entries,) if vector else x.entries
-    new = {e: _norm(e * factor) for e in set().union(*rows) if e is not ZERO}
-    new[ZERO] = ZERO
-    out = [[new[e] for e in row] for row in rows]
-    return _trusted(type(x), x.semifield, out[0] if vector else out)
+    return _like(x, [[e if e is ZERO else e * scale if type(e) is int
+                      else e.numerator * (scale // e.denominator) for e in row]
+                     for row in _rows(x)])
+
+
+def _divided(x, scale: int):
+    """The lifted TropMatrix or TropVector x, all ints, with each finite
+    entry divided by scale, an integral value as an int; x itself when scale
+    is 1.  Each distinct value is divided once, as values repeat."""
+    if scale == 1:
+        return x
+    rows = _rows(x)
+    back = {e: _divided_scalar(e, scale) for e in set().union(*rows)}
+    return _like(x, [[back[e] for e in row] for row in rows])
+
+
+def _divided_scalar(e, scale: int):
+    """The lifted int e divided by scale, an integral value as an int."""
+    return e if e is ZERO else _norm(Fraction(e, scale))
 
 
 class ScheduleSolution(NamedTuple):
@@ -180,32 +219,36 @@ def solve_schedule(inst: ScheduleInstance, *,
                    prune: bool = True) -> ScheduleSolution:
     """Solve on the instance's lifted data, then divide the results back."""
     scale, A, closure, f = inst._lifted
-    back = Fraction(1, scale)
     prob = _span_problem(A, closure)
     found = complete_solution(prob, budget=budget, prune=prune)
     s0 = found.generators.generators
     y_gens = prob.A @ s0
     return ScheduleSolution(
-        delta=_norm(found.delta * back),
-        x_generators=_rescaled(closure @ s0, back),
-        y_generators=_rescaled(y_gens, back),
-        coeff_bound=_rescaled(solve_upper_bound(y_gens, f), back),
-        span_generators=_rescaled(s0, back),
-        D=_rescaled(prob.A, back),
+        delta=_divided_scalar(found.delta, scale),
+        x_generators=_divided(closure @ s0, scale),
+        y_generators=_divided(y_gens, scale),
+        coeff_bound=_divided(solve_upper_bound(y_gens, f), scale),
+        span_generators=_divided(s0, scale),
+        D=_divided(prob.A, scale),
         enumerated_count=found.enumerated_count,
         pruned_count=found.pruned_count,
     )
 
 
 def instantiate(sol: ScheduleSolution, v: TropVector) -> tuple[TropVector, TropVector]:
-    """Concrete schedule for an admissible coefficient vector."""
+    """Concrete schedule for an admissible coefficient vector, computed as
+    ScheduleInstance computes: lifted by the lcm L of the denominators of
+    the generators and v, then divided back."""
     _check_operands(v, sol.coeff_bound, v.dim, sol.coeff_bound.dim,
                     "v has dim {}, expected {}")
     if not v.is_regular():
         raise NotRegularVector("coefficient vector must be regular")
     if not v.le(sol.coeff_bound):
         raise CoefficientOutOfBound("coefficient vector exceeds the deadline bound")
-    return sol.x_generators @ v, sol.y_generators @ v
+    scale = _lift_scale(sol.x_generators, sol.y_generators, v)
+    lifted_v = _lift(v, scale)
+    return (_divided(_lift(sol.x_generators, scale) @ lifted_v, scale),
+            _divided(_lift(sol.y_generators, scale) @ lifted_v, scale))
 
 
 def latest_schedule(sol: ScheduleSolution) -> tuple[TropVector, TropVector]:

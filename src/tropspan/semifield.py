@@ -24,10 +24,13 @@ check_value validates a scalar from outside: the parser and the public
 TropVector and TropMatrix constructors call it.  The operations keep valid
 scalars valid, and mul and inv return integral values as int, so results
 computed from valid scalars need no second check.  Each instance also binds
-three compare-only kernels on finite values: ratio (v (x) u^-1), order_le
-(the semifield order) and order_min (the least of several values in that
-order); a ratio is compared or multiplied, never stored as a scalar, save
-as inv, which normalizes ratio(one, a).
+five kernels on finite values, plain operator functions with no ZERO test
+and no normalization: ratio (v (x) u^-1), order_le (the semifield order),
+order_min (the least of several values in that order), times ((x)) and
+better (strictly above in the semifield order, so a (+) b is b exactly when
+better(b, a)).  A ratio is compared or multiplied, never stored as a
+scalar, save as inv, which normalizes ratio(one, a); a caller that stores
+what times returns normalizes it, as mul does.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ class Semifield:
     """
 
     __slots__ = ("name", "one", "zero_token", "_reversed", "_multiplicative",
-                 "ratio", "order_le", "order_min")
+                 "ratio", "order_le", "order_min", "times", "better")
 
     def __init__(self, name: str, one, *, reversed_order: bool, multiplicative: bool,
                  zero_token: str):
@@ -91,6 +94,8 @@ class Semifield:
         self.ratio = Fraction if multiplicative else operator.sub
         self.order_le = operator.ge if reversed_order else operator.le
         self.order_min = max if reversed_order else min
+        self.times = operator.mul if multiplicative else operator.add
+        self.better = operator.lt if reversed_order else operator.gt
 
     def __repr__(self):
         return f"Semifield({self.name!r})"

@@ -31,6 +31,7 @@ from tropspan import (
     TropVector,
     compact_generators,
     complete_solution,
+    instantiate,
     kleene_star,
     latest_schedule,
     solve_schedule,
@@ -322,3 +323,83 @@ def test_lifted_refusals_read_as_the_unlifted_star_refuses():
         assert str(caught.value) == expected
         refused += 1
     assert refused >= 100, refused
+
+
+def reference_product(gens: TropMatrix, v: TropVector) -> tuple:
+    """gens v by Semifield.add and mul, entry by entry, in the data's own
+    units: the unlifted reference for instantiate."""
+    sf = gens.semifield
+    out = []
+    for row in gens.entries:
+        acc = Z
+        for g, c in zip(row, v.entries):
+            acc = sf.add(acc, sf.mul(g, c))
+        out.append(acc)
+    return tuple(out)
+
+
+def below_bound(rng: random.Random, bound: TropVector) -> TropVector:
+    """A regular v <= bound whose entries add denominators 3, 5 and 7."""
+    sf = bound.semifield
+    out = []
+    for b in bound.entries:
+        c = Fraction(rng.randint(1, 20), rng.choice((3, 5, 7)))
+        step = {MAX_PLUS: -c, MIN_PLUS: c, MAX_TIMES: 1 / (1 + c)}[sf]
+        out.append(sf.mul(b, step))
+    return TropVector(sf, out)
+
+
+def assert_instantiate_matches_unlifted(sol, v: TropVector) -> int:
+    """instantiate(sol, v) against reference_product, type for type; the
+    lift scale it runs at."""
+    got = instantiate(sol, v)
+    assert typed(tuple(w.entries for w in got)) == typed((
+        reference_product(sol.x_generators, v),
+        reference_product(sol.y_generators, v)))
+    return _lift_scale(sol.x_generators, sol.y_generators, v)
+
+
+def test_instantiate_matches_the_unlifted_product(half_unit_corpus):
+    rng = random.Random(41)
+    dens = iter(primes(20))
+    n = 4
+    past_cap = ScheduleInstance(
+        mat([[Fraction(i - j, next(dens)) if i >= j else Z for j in range(n)]
+             for i in range(n)]),
+        mat([[Z] * n] * n), mat([[Z] * n] * n),
+        vec([Fraction(7, next(dens)) for _ in range(n)]))
+    instances = (half_unit_corpus[:6] + [past_cap]
+                 + [random_fraction_schedule(rng, sf, rng.randint(1, 5), True)
+                    for sf in (MAX_PLUS, MIN_PLUS) for _ in range(20)]
+                 + [random_max_times_schedule(rng, rng.randint(1, 5))
+                    for _ in range(20)])
+    scales = {}
+    for inst in instances:
+        sol = solve_schedule(inst)
+        for v in (sol.coeff_bound, below_bound(rng, sol.coeff_bound)):
+            scale = assert_instantiate_matches_unlifted(sol, v)
+            scales.setdefault(inst.semifield.name, set()).add(scale)
+    # the corpus at its bound lifts by 2; a lowered v adds 3, 5 and 7
+    assert 2 in scales["max-plus"]
+    assert any(scale % 105 == 0 for scale in scales["max-plus"])
+    assert any(scale % 105 == 0 for scale in scales["min-plus"])
+    assert scales["max-times"] == {1}
+    # v over four primes above 2**16 takes the lcm above the cap, and
+    # instantiate the unlifted path
+    sol = solve_schedule(past_cap)
+    big = [k for k in range(2 ** 16, 2 ** 16 + 100)
+           if all(k % p for p in primes(60))][:n]
+    v = TropVector(MAX_PLUS, [b - Fraction(1, p)
+                              for b, p in zip(sol.coeff_bound, big)])
+    assert assert_instantiate_matches_unlifted(sol, v) == 1
+
+
+def test_closure_and_precedence_are_divided_back_when_first_read(
+        half_unit_corpus):
+    inst = ScheduleInstance(*(getattr(half_unit_corpus[0], k) for k in "ABCf"))
+    solve_schedule(inst)
+    assert "closure" not in vars(inst) and "precedence" not in vars(inst)
+    closure = inst.closure
+    assert inst.closure is closure
+    assert typed(inst.precedence) == typed(inst.B + inst.C @ inst.A)
+    assert typed(closure) == typed(kleene_star(inst.precedence))

@@ -111,6 +111,28 @@ def test_axioms_randomized(sf):
         assert sf.le(a, b) == (sf.add(a, b) == b)
 
 
+@pytest.mark.parametrize("sf", [MAX_PLUS, MIN_PLUS, MAX_TIMES, MIN_TIMES],
+                         ids=lambda s: s.name)
+def test_finite_kernels_agree_with_add_and_mul(sf):
+    # linalg's product loops store times(a, b), normalized, where better
+    # says so: mul is the normalized times, and add keeps its first operand
+    # unless better prefers the second, so a tie keeps the earlier term even
+    # between an int and an integral Fraction
+    rng = random.Random(17)
+    pairs = [(2, Fraction(2, 1)), (Fraction(2, 1), 2), (3, 3)]
+    while len(pairs) < 500:
+        a, b = (_random_scalar(rng, sf) for _ in range(2))
+        if a is not ZERO and b is not ZERO:
+            pairs.append((a, b))
+    for a, b in pairs:
+        c = sf.times(a, b)
+        norm = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        got = sf.mul(a, b)
+        assert (type(got), got) == (type(norm), norm)
+        assert sf.add(a, b) is (b if sf.better(b, a) else a)
+        assert not sf.better(a, a)
+
+
 def test_formatting_tokens():
     assert MAX_PLUS.format_scalar(ZERO) == "-inf"
     assert MIN_PLUS.format_scalar(ZERO) == "+inf"
