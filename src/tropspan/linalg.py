@@ -506,9 +506,12 @@ def extremal_rays(semifield: Semifield, rays: Sequence[tuple]) -> list[int]:
 def reduce_to_independent(matrix: TropMatrix) -> tuple[TropMatrix, list[int]]:
     """Drop columns that are tropical combinations of the others.
 
-    Keeps the first column of every extremal ray of the column cone, in input
-    order, which spans the same set as the input: repeated rays are dropped
-    by a lookup on ray_key, and extremal_rays tests the rest.  Returns the
+    The pairwise reduction for an arbitrary matrix: keeps the first column
+    of every extremal ray of the column cone, in input order, which spans
+    the same set as the input.  Repeated rays are dropped by a lookup on
+    ray_key, and extremal_rays compares each remaining column with the
+    others.  complete_solution does not call it, as it tests each column of
+    a span problem alone against the rows of the problem.  Returns the
     reduced matrix and the kept column indices.
     """
     sf = matrix.semifield

@@ -19,14 +19,36 @@ The pipeline, for a row-regular A, nonzero p and regular q:
      one forced column per row.  A forced row needs no scan of its own, and
      its term no place in the sums, which the walk carries from row to row.
   5. If l <= l' entrywise, the cone of l' lies in that of l, so S1 is built
-     once per sum that no earlier sum lies below.  Concatenating those
-     columns and dropping dependent ones yields a single generator matrix S0
-     whose span is exactly the solution set.  A column is dependent unless
-     it is extremal, which the criterion of Butkovic, Schneider & Sergeev
-     (LAA 421, 2007) decides by scalar comparisons with the other columns;
-     S0 keeps the first column of each extremal ray, skip or not, as an
-     extremal ray of the union that lies in a covered cone is extremal in
-     the covering cone, whose columns were pooled before it.
+     once per sum that no earlier sum lies below.  S0 keeps the first column
+     of each ray that is extremal in the solution set S and is a column of
+     a built S1.  These are all the extremal rays of S, so S0 spans S: each
+     lies in some S1 cone, and an extremal ray of S in a cone inside S is
+     extremal there, so it is a column of that S1 and of the S1 of any cone
+     that covers it.
+
+     Each column is tested alone.  Let r_ik = p_i a_ik^-1 (top where a_ik is
+     zero), c_k = Delta q_k, and t the terms of a selection sigma; t <= c.
+     Column j of its S1 is u (Delta q_j)^-1 with u = t but u_j = c_j, and
+     q^- u = Delta.  S is {x : A x >= (q^- x) Delta^-1 p}; rows with p_i
+     zero hold for every x.  At u, row i holds with equality iff u <= r_i.
+     Its tail J_i = {k : r_ik = u_k} attains (A u)_i, and the head
+     K = {k : u_k = c_k}, which holds j, attains q^- u for every row.  A
+     tight row attains its chosen term, as r_is <= t_s <= u_s <= r_is for
+     s = sigma(i), so one ratio per row finds the rows worth a look.
+
+     Lowering u on a set D of indices by a small common factor stays in S
+     iff every tight row with J_i within D has K within D too; call such a
+     D closed.  u is extremal iff, for some s in supp(u), no nonempty closed
+     D misses s, as u is then the only y <= u of S with y_s = u_s
+     (Butkovic, Schneider & Sergeev, LAA 421, 2007).  Let T be the union of
+     the tails of one index.  {k} is closed for k outside T, and a nonempty
+     D within T holds a tail, so it is closed iff it holds K.  So u is
+     extremal iff supp(u) - T is empty (take s in K) or is one index s of
+     K.  Otherwise a closed set misses each s: {k} for an index k outside T
+     other than s, or, when s is the one index outside T and lies outside
+     K, supp(u) less s, which holds K.  This is the tangent hypergraph of
+     Allamigeon, Gaubert & Goubault (DCG 49, 2013), whose hyperedges here
+     all share the head K.
 """
 
 from __future__ import annotations
@@ -41,8 +63,7 @@ from .errors import (
     ShapeMismatch,
     ZeroVector,
 )
-from .linalg import (TropMatrix, TropVector, _check_operands, _trusted,
-                     extremal_rays, ray_key)
+from .linalg import TropMatrix, TropVector, _check_operands, _trusted, ray_key
 from .semifield import ZERO, Scalar
 from .solvers import GeneratorSet, IntervalSet, generator_columns
 
@@ -76,15 +97,19 @@ class SpanProblem:
         return (self.A @ self.q).conj() @ self.p
 
     @cached_property
+    def caps(self) -> list:
+        """Delta q_j of each column j, where sparsification caps p_i a_ij^-1."""
+        return [self.semifield.mul(self.delta, v) for v in self.q]
+
+    @cached_property
     def sparsified(self) -> TropMatrix:
         """Step 2: keeps a_ij iff p_i a_ij^-1 <= Delta q_j, rows with p_i = zero
         whole; row-regular, as the entry attaining (A q)_i is always kept."""
         sf = self.semifield
         ratio, le = sf.ratio, sf.order_le
-        caps = [sf.mul(self.delta, v) for v in self.q]
         rows = [row if pi is ZERO else
                 [a if a is not ZERO and le(ratio(pi, a), cap) else ZERO
-                 for a, cap in zip(row, caps)]
+                 for a, cap in zip(row, self.caps)]
                 for row, pi in zip(self.A.entries, self.p.entries)]
         return _trusted(TropMatrix, sf, rows)
 
@@ -268,16 +293,64 @@ def _s1_scales(prob: SpanProblem) -> list:
     the terms to a valid scalar.  Delta^-1 t <= q holds unchecked, as the
     sparsified matrix keeps a_ij only if p_i a_ij^-1 <= Delta q_j.
     """
-    sf = prob.semifield
-    return [sf.inv(sf.mul(prob.delta, v)) for v in prob.q]
+    return [prob.semifield.inv(c) for c in prob.caps]
 
 
 def selection_generators(sel: SelectionMatrix, prob: SpanProblem) -> GeneratorSet:
     """Span I (+) Delta^-1 A1^- p q^- of one selection, built from its terms
-    by the column builder that complete_solution pools from."""
+    by the column builder whose columns complete_solution tests."""
     _check_shape(sel, prob.A.shape)
     cols = generator_columns(prob.semifield, sel.terms, _s1_scales(prob))
     return GeneratorSet(_trusted(TropMatrix, prob.semifield, zip(*cols)))
+
+
+def _extremal_columns(prob: SpanProblem, chosen: tuple, terms: tuple) -> list[int]:
+    """The j whose S1 column is extremal in the solution set, by the test of
+    step 5 of the module docstring; chosen and terms are one selection as
+    the walk yields it.  Bit k of a mask stands for index k."""
+    ratio, le, caps = prob.semifield.ratio, prob.semifield.order_le, prob.caps
+    # each row that t lies below: {k : r_ik = t_k}, the columns j at which
+    # the row is tight (r_ij >= c_j) and those at which j joins its tail
+    # (r_ij = c_j); a kept entry has r_ij <= c_j, a zero one r_ij = top
+    rows = set()
+    for s, pi, row in zip(chosen, prob.p.entries, prob.sparsified.entries):
+        if pi is ZERO or ratio(pi, row[s]) != terms[s]:
+            continue
+        equal = top = at_cap = 0
+        for k, (a, t, c) in enumerate(zip(row, terms, caps)):
+            if a is ZERO:
+                top |= 1 << k
+                continue
+            r = ratio(pi, a)
+            if t is not ZERO:
+                if r == t:
+                    equal |= 1 << k
+                elif le(r, t):
+                    break  # r_ik below t_k: the row is tight at no column
+            if r == c:
+                at_cap |= 1 << k
+        else:
+            rows.add((equal, top | at_cap, at_cap))
+    support = head = 0
+    for k, (t, c) in enumerate(zip(terms, caps)):
+        if t is not ZERO:
+            support |= 1 << k
+            if t == c:
+                head |= 1 << k
+    kept = []
+    for j in range(len(terms)):
+        b = 1 << j
+        covered = 0  # T, the union of the one-index tails
+        for equal, tight, at_cap in rows:
+            if tight & b:
+                tail = equal | at_cap & b
+                if not tail & (tail - 1):
+                    covered |= tail
+        rest = (support | b) & ~covered
+        # extremal iff supp(u) - T is empty or one index of K
+        if not rest & (rest - 1) and not rest & ~(head | b):
+            kept.append(j)
+    return kept
 
 
 class CompleteSolution(NamedTuple):
@@ -303,20 +376,22 @@ def canonical_column_order(matrix: TropMatrix) -> TropMatrix:
 def complete_solution(prob: SpanProblem, *,
                       budget: int | None = DEFAULT_ENUMERATION_BUDGET,
                       prune: bool = True) -> CompleteSolution:
-    """Assemble S0: enumerate selections, pool their generators, reduce.
+    """Assemble S0: enumerate selections, build their S1, keep the columns
+    that are extremal in the solution set.
 
-    Selections are pooled as the walk emits them, with the terms each
+    Selections are taken as the walk emits them, with the terms each
     carries.  One is skipped when the terms of an earlier one lie below its
     own, as its cone lies inside that one's.  Terms seen before are skipped
     by a set lookup, since a long walk repeats few distinct terms; new terms
-    are compared only with those that no later terms lie below, and the
-    columns of the others stay pooled, so each extremal ray keeps its first
-    column.  The S1 columns, plain tuples from the builder that
-    selection_generators also uses, are keyed by ray_key, and a column of a
-    ray already pooled is skipped, so memory follows the distinct rays.
-    extremal_rays keeps the extremal ones, and the surviving basis is put
-    into canonical column order, so repeated runs with the same flags print
-    the identical matrix.  A budget overrun ends the one walk: the
+    are compared only with those that no later terms lie below.  Each column
+    of a built S1, a plain tuple from the builder that selection_generators
+    also uses, is tested alone by _extremal_columns, which reads only the
+    rows that its selection can make tight (step 5 of the module
+    docstring); nothing is pooled and no two columns are compared.  An
+    extremal column is keyed by ray_key, and the first column of each ray
+    is kept, so memory follows the extremal rays.  The basis is put into
+    canonical column order, so repeated runs with the same flags print the
+    identical matrix.  A budget overrun ends the one walk: the
     EnumerationBudgetExceeded of _selections propagates as raised.  With
     prune=False, a family larger than the budget is refused before it.
     """
@@ -327,7 +402,7 @@ def complete_solution(prob: SpanProblem, *,
     scales, le = _s1_scales(prob), sf.le
     rays, bounds, seen = {}, [], set()
     count = 0
-    for count, (_, terms) in enumerate(_selections(
+    for count, (chosen, terms) in enumerate(_selections(
             sparse, prob.p, prune, budget), 1):
         if terms in seen:
             continue
@@ -336,11 +411,11 @@ def complete_solution(prob: SpanProblem, *,
             continue
         bounds = [u for u in bounds if not all(map(le, terms, u))]
         bounds.append(terms)
-        for col in generator_columns(sf, terms, scales):
-            rays.setdefault(ray_key(sf, col), col)
+        cols = generator_columns(sf, terms, scales)
+        for j in _extremal_columns(prob, chosen, terms):
+            rays.setdefault(ray_key(sf, cols[j]), cols[j])
     del seen, bounds
-    pool = list(rays.values())
-    kept = [pool[k] for k in extremal_rays(sf, pool)]
-    ordered = canonical_column_order(_trusted(TropMatrix, sf, zip(*kept)))
+    ordered = canonical_column_order(
+        _trusted(TropMatrix, sf, zip(*rays.values())))
     pruned = total - count
     return CompleteSolution(prob.delta, GeneratorSet(ordered), count, pruned)

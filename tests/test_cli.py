@@ -210,6 +210,26 @@ def test_solve_dense_12_by_12_probe_in_a_child_process(tmp_path):
     assert len(doc["generators"][0]) == 111
 
 
+def test_solve_dense_18_by_18_draw_in_a_child_process(tmp_path):
+    # draw 8 of Random(18): 7022 selections; when the distinct rays of the
+    # built S1 were pooled and reduced pairwise, this took about 45 s CPU.
+    # The digest is of S0 as that reduction gave it
+    A, p, q = dense_probe_data(seed=18, n=18, draw=8)
+    problem = tmp_path / "draw18.json"
+    problem.write_text(json.dumps({"kind": "span", "A": A, "p": p, "q": q}))
+    src = str(Path(tropspan.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "tropspan", "solve", "--input", str(problem)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["enumeration"]["visited"] == 7022
+    assert len(doc["generators"][0]) == 1979
+    assert hashlib.sha256(json.dumps(doc["generators"]).encode()).hexdigest() \
+        == "18809cdb8f08356426d7265370fa52e119ad6dbcb3c120a12ed0fefde958f817"
+
+
 def test_solve_writes_integral_half_unit_sums_as_integers(tmp_path, capsys):
     # Delta = -1/2 + 1/2: an integral value is a JSON integer, never "0"
     problem = tmp_path / "half.json"
